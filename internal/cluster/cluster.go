@@ -6,8 +6,10 @@
 //
 //   - a deterministic, vtime-driven leader-lease + replicated-log
 //     layer: metadb mutations commit through the leader's log (WAL
-//     record framing, CRC32C-verified, fail-closed on divergence) and
-//     apply to every live replica before the mutator is acked;
+//     record framing, CRC32C-verified, fail-closed on divergence);
+//     every live replica then journals, flushes and applies the
+//     committed entries concurrently, and the mutator is acked once a
+//     quorum has done so durably — one flush time, not one per replica;
 //   - a fixed shard map (Ring) hashing collections onto brokers, with
 //     ownership changes carried only as replicated ring records;
 //   - cluster-wide byte budgets: the leader owns the global QoS
@@ -15,7 +17,9 @@
 //     slices through the same log.
 //
 // Replication here is in-process and synchronous — the deterministic
-// transport a simulation wants.  The seam for a networked control
+// transport a simulation wants.  Replicas of a real cluster flush their
+// journals at the same time, so the in-process transport does too.
+// The seam for a networked control
 // plane is the Node surface: everything a remote peer would need
 // (appendEntries, the lease view, snapshot adoption) already flows
 // through it.
@@ -98,6 +102,12 @@ type Cluster struct {
 	leader     int
 	leaseUntil time.Duration
 	now        time.Duration
+
+	// appendLocked's working state, reused across appends so that the
+	// replica fan-out costs no heap per mutation.
+	entries []Entry
+	took    []*Node        // replicas that accepted the batch
+	flush   sync.WaitGroup // replicas still journaling and applying it
 }
 
 // New builds a cluster.  Node 0 starts as leader of term 1, and the
@@ -128,6 +138,10 @@ func New(cfg Config) (*Cluster, error) {
 			db = cfg.DBs[i]
 		}
 		n := &Node{cl: cl, id: i, db: db, log: &Log{}}
+		n.flushFn = func() {
+			n.flushErr = n.applyCommitted()
+			cl.flush.Done()
+		}
 		db.SetReplicator(n)
 		cl.nodes = append(cl.nodes, n)
 	}
@@ -361,20 +375,24 @@ func (cl *Cluster) reconfigureLocked(ring Ring) error {
 }
 
 // appendLocked replicates frames as new log entries from the current
-// leader: offer to every live replica, commit on majority, apply to
-// every replica that took them, and renew the lease.  A replica that
-// refuses an entry (divergent CRC, conflicting history) or fails to
+// leader: offer to every live replica, commit on majority, then have
+// every replica that took them journal, flush and apply them — the
+// journaled ones all at once, so the mutation waits for one flush
+// time however many replicas there are — and renew the lease.  A replica that refuses
+// an entry (divergent CRC, conflicting history) or fails to journal or
 // apply one faults out of the cluster — fail-closed.  Without a
-// majority the batch is rolled back everywhere and the mutation is
-// not acked.
+// majority accepting, the batch is rolled back everywhere; without a
+// majority holding it durably and applied, the entries stay in the
+// surviving logs, in doubt.  Neither is acked.  Frames are shared by
+// the replicas' logs and must not be modified afterwards.
 func (cl *Cluster) appendLocked(frames [][]byte) error {
 	lead := cl.nodes[cl.leader]
 	start := lead.log.LastIndex()
-	entries := make([]Entry, len(frames))
+	entries := cl.entries[:0]
 	for i, f := range frames {
-		entries[i] = Entry{Index: start + uint64(i) + 1, Term: cl.term, Frame: f}
+		entries = append(entries, Entry{Index: start + uint64(i) + 1, Term: cl.term, Frame: f})
 	}
-	var acked []*Node
+	took := cl.took[:0]
 	for _, n := range cl.nodes {
 		if n.Down() {
 			continue
@@ -383,20 +401,49 @@ func (cl *Cluster) appendLocked(frames [][]byte) error {
 			n.fault(err)
 			continue
 		}
-		acked = append(acked, n)
+		took = append(took, n)
 	}
-	if len(acked) < cl.Quorum() {
-		for _, n := range acked {
+	cl.entries, cl.took = entries, took
+	if len(took) < cl.Quorum() {
+		for _, n := range took {
 			n.log.truncateFrom(start + 1)
 		}
-		return fmt.Errorf("%w: %d/%d replicas accepted the batch", ErrNoQuorum, len(acked), len(cl.nodes))
+		return fmt.Errorf("%w: %d/%d replicas accepted the batch", ErrNoQuorum, len(took), len(cl.nodes))
 	}
 	commit := start + uint64(len(entries))
-	for _, n := range acked {
+	// Each journaled replica has a journal of its own to flush, so they
+	// run at once: the first here, the others on goroutines that end
+	// before this function returns.  (This goroutine would otherwise
+	// only wait, and once every P of the runtime is inside a blocking
+	// fsync a further goroutine starts only when one returns: at
+	// GOMAXPROCS=2, three goroutines cost two flush times, two and the
+	// caller one.)  A replica without a journal has no wait to overlap
+	// and applies here as well.
+	for _, n := range took {
 		n.log.setCommit(commit)
-		if err := n.applyCommitted(); err != nil {
-			n.fault(err)
+	}
+	for _, n := range took[1:] {
+		if n.db.Journaled() {
+			cl.flush.Add(1)
+			go n.flushFn()
 		}
+	}
+	for i, n := range took {
+		if i == 0 || !n.db.Journaled() {
+			n.flushErr = n.applyCommitted()
+		}
+	}
+	cl.flush.Wait()
+	durable := 0
+	for _, n := range took {
+		if n.flushErr != nil {
+			n.fault(n.flushErr)
+			continue
+		}
+		durable++
+	}
+	if durable < cl.Quorum() {
+		return fmt.Errorf("%w: %d/%d replicas hold entries %d..%d durably; not acked, in doubt", ErrNoQuorum, durable, len(cl.nodes), start+1, commit)
 	}
 	cl.leaseUntil = cl.now + cl.cfg.Lease
 	return nil

@@ -75,7 +75,8 @@ func (l *Log) EntryAt(i uint64) (Entry, bool) {
 // history (same index, term, and bytes) is idempotently skipped; a
 // stored entry from an older term is truncated away with its suffix; a
 // same-term byte mismatch or an index gap is divergence and the whole
-// batch is refused.
+// batch is refused.  The log keeps the offered frames without copying
+// them: the caller must not modify a frame after offering it.
 func (l *Log) appendEntries(es []Entry) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -102,7 +103,7 @@ func (l *Log) appendEntries(es []Entry) error {
 			l.entries = l.entries[:e.Index-1]
 			fallthrough
 		default:
-			l.entries = append(l.entries, Entry{Index: e.Index, Term: e.Term, Frame: append([]byte(nil), e.Frame...)})
+			l.entries = append(l.entries, e) // the frame is shared, read-only from here on
 		}
 	}
 	return nil

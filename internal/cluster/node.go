@@ -48,6 +48,13 @@ type Node struct {
 	db  *metadb.DB
 	log *Log
 
+	// flushFn runs applyCommitted into flushErr and signals cl.flush:
+	// a journaled replica's share of appendLocked's fan-out, bound once
+	// so that starting it allocates nothing.  Both belong to whoever
+	// holds cl.mu.
+	flushFn  func()
+	flushErr error
+
 	mu       sync.Mutex
 	down     bool
 	faultErr error
@@ -118,8 +125,9 @@ func (n *Node) Budget() Budgets {
 
 // OnQuota registers a callback fired whenever a quota lease for this
 // node is applied from the log (wire it to qos.SetMaxQueuedBytes et
-// al.).  The callback runs with cluster locks held: it must not call
-// back into the cluster.
+// al.).  The callback runs with cluster locks held, possibly on
+// another goroutine than the mutator's: it must not call back into
+// the cluster.
 func (n *Node) OnQuota(fn func(Budgets)) {
 	n.mu.Lock()
 	n.onQuota = fn
@@ -168,7 +176,8 @@ func (n *Node) Replicate(p *vtime.Proc, typ byte, data []byte) error {
 // applyEntry applies one committed entry to this node's state.  Cluster
 // records update the node's ring and budget views; everything else is
 // a metadb journal record replayed through the replica's recovery
-// path.  Called with cl.mu held.
+// path, which journals and flushes it before applying.  Runs while
+// appendLocked holds cl.mu, concurrently with other replicas'.
 func (n *Node) applyEntry(e Entry) error {
 	rec, err := wal.DecodeRecord(e.Frame)
 	if err != nil {
@@ -208,7 +217,8 @@ func (n *Node) applyEntry(e Entry) error {
 }
 
 // applyCommitted drains the node's committed-but-unapplied entries in
-// log order.  Called with cl.mu held.
+// log order.  Runs while appendLocked holds cl.mu, concurrently with
+// other replicas'.
 func (n *Node) applyCommitted() error {
 	for {
 		e, ok := n.log.nextToApply()

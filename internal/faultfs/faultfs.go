@@ -19,6 +19,10 @@
 //     TornWrites keeps a sector-aligned prefix of each file's
 //     un-fsynced tail with the final sector possibly scrambled — the
 //     adversarial page-cache writeback schedule.
+//   - SetFault arms a transient fault instead: one file Write (torn:
+//     half of its bytes land) or Sync (nothing made durable) fails with
+//     ErrInjected and the filesystem lives on — the disk-full or EIO a
+//     process survives, and must not carry on appending after.
 //
 // Recovery code proven correct against all three modes at every crash
 // point is correct against anything a real disk can do within the
@@ -42,6 +46,9 @@ import (
 // ErrCrashed is returned by every operation at and after the armed
 // crash point.
 var ErrCrashed = errors.New("faultfs: simulated crash")
+
+// ErrInjected is returned by the one operation a SetFault fault hits.
+var ErrInjected = errors.New("faultfs: injected I/O error")
 
 // CrashMode selects what un-fsynced state survives Recover.
 type CrashMode int
@@ -97,7 +104,11 @@ func (ino *inode) markWrite(off int64) {
 }
 
 func (ino *inode) sync() {
-	ino.durable = append([]byte(nil), ino.data...)
+	// Bytes below unsyncedLow have not changed since the last sync (it
+	// is 0 until the first one and only ever lowered in between): copy
+	// only what has, so a journal's flush costs its new records.
+	lo := ino.unsyncedLow
+	ino.durable = append(ino.durable[:lo], ino.data[lo:]...)
 	ino.synced = true
 	ino.unsyncedLow = int64(len(ino.data))
 }
@@ -112,6 +123,7 @@ type FS struct {
 	ops     int // mutating operations performed
 	crashAt int // crash when ops reaches this value (0 = disarmed)
 	crashed bool
+	faultAt int // fail one Write or Sync once ops reaches this value (0 = disarmed)
 }
 
 // New returns an empty filesystem with no crash armed.
@@ -134,6 +146,31 @@ func (f *FS) SetCrash(n int) {
 		return
 	}
 	f.crashAt = f.ops + n
+}
+
+// SetFault arms a transient fault: the first file Write or Sync at or
+// after the n-th mutating operation from now (n >= 1) fails once with
+// ErrInjected, and the filesystem stays alive.  A failed Write has
+// appended the first half of its bytes; a failed Sync has made nothing
+// durable.  n <= 0 disarms.
+func (f *FS) SetFault(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n <= 0 {
+		f.faultAt = 0
+		return
+	}
+	f.faultAt = f.ops + n
+}
+
+// fault reports whether the armed transient fault hits the operation
+// step has just counted, disarming it.  Called with f.mu held.
+func (f *FS) fault() bool {
+	if f.faultAt == 0 || f.ops < f.faultAt {
+		return false
+	}
+	f.faultAt = 0
+	return true
 }
 
 // Ops returns the number of mutating operations performed so far.
@@ -434,6 +471,12 @@ func (v *vfile) Write(b []byte) (int, error) {
 		return 0, fmt.Errorf("write %q: %w", v.name, ErrCrashed)
 	}
 	off := int64(len(v.ino.data))
+	if v.fs.fault() {
+		b = b[:len(b)/2]
+		v.ino.data = append(v.ino.data, b...)
+		v.ino.markWrite(off)
+		return len(b), fmt.Errorf("write %q: %w", v.name, ErrInjected)
+	}
 	v.ino.data = append(v.ino.data, b...)
 	v.ino.markWrite(off)
 	return len(b), nil
@@ -477,6 +520,9 @@ func (v *vfile) Sync() error {
 	defer v.fs.mu.Unlock()
 	if v.fs.step() {
 		return fmt.Errorf("sync %q: %w", v.name, ErrCrashed)
+	}
+	if v.fs.fault() {
+		return fmt.Errorf("sync %q: %w", v.name, ErrInjected)
 	}
 	v.ino.sync()
 	return nil

@@ -240,3 +240,41 @@ func TestStoreViewSharesNamespace(t *testing.T) {
 		t.Fatalf("store file lost under keep-unsynced: %q", data)
 	}
 }
+
+// TestTransientFaultTearsOneWriteThenHeals checks SetFault: one Write
+// lands half its bytes and errors, one Sync makes nothing durable, and
+// the filesystem carries on afterwards.
+func TestTransientFaultTearsOneWriteThenHeals(t *testing.T) {
+	fsys := faultfs.New()
+	f, err := fsys.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fsys.SetFault(1)
+	if n, err := f.Write([]byte("abcdef")); !errors.Is(err, faultfs.ErrInjected) || n != 3 {
+		t.Fatalf("faulted write: n=%d err=%v, want 3 bytes and ErrInjected", n, err)
+	}
+	if _, err := f.Write([]byte("XYZ")); err != nil {
+		t.Fatalf("write after the fault: %v", err)
+	}
+	fsys.SetFault(1)
+	if err := f.Sync(); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("faulted sync: %v, want ErrInjected", err)
+	}
+	if err := fsys.SyncDir(""); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := vfs.ReadFile(fsys.Recover(faultfs.DropUnsynced, 1), "a"); len(got) != 0 {
+		t.Fatalf("failed sync made %q durable", got)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatalf("sync after the fault: %v", err)
+	}
+	if got, _ := vfs.ReadFile(fsys.Recover(faultfs.DropUnsynced, 1), "a"); !bytes.Equal(got, []byte("abcXYZ")) {
+		t.Fatalf("recovered %q, want the torn write then the healthy one", got)
+	}
+	if fsys.Crashed() {
+		t.Fatal("a transient fault crashed the filesystem")
+	}
+}

@@ -4,6 +4,30 @@
 // with no acknowledged row lost and no partial row visible.  Recovery
 // is snapshot + replay: OpenJournal loads the newest checkpoint and
 // re-applies the records appended after it, in order.
+//
+// The commit pipeline.  A mutation (a mutator, or ApplyRecord on a
+// cluster replica) passes three stages and holds no lock across disk:
+//
+//	journal  under db.jmu: append the record, take the next ticket
+//	flush    no lock held: wal.Log.Sync, shared with whoever else is
+//	         waiting (group commit)
+//	apply    at the ticket's turn, under db.mu: update the tables
+//
+// which keeps these invariants (journal_pipeline_test.go):
+//
+//	(a) a mutator returns nil only after a flush covering its record;
+//	(b) apply order equals journal order, so replay reproduces memory
+//	    even for racing writers of one key;
+//	(c) a row is not visible to readers before it is durable;
+//	(d) readers never wait on an fsync: db.mu is held only to touch
+//	    the tables;
+//	(e) a failed flush poisons the log, so it fails every mutation it
+//	    would have covered and all later ones, and applies none;
+//	(f) Checkpoint and CloseJournal quiesce the pipeline first, so a
+//	    snapshot covers exactly the journaled history.
+//
+// The pipeline keeps no per-mutation state on the heap: tickets are
+// two counters and one condition variable.
 package metadb
 
 import (
@@ -69,8 +93,7 @@ func OpenJournal(opts wal.Options) (*DB, error) {
 	return db, nil
 }
 
-// Journaled reports whether mutations are being written through a
-// journal.
+// Journaled reports whether the database was opened through a journal.
 func (db *DB) Journaled() bool { return db.log != nil }
 
 // JournalStats returns the journal's counters; ok is false when the
@@ -82,60 +105,126 @@ func (db *DB) JournalStats() (st wal.Stats, ok bool) {
 	return db.log.Stats(), true
 }
 
+// quiesceLocked closes the pipeline's gate and waits until every
+// journaled record has been applied or failed.  Called with db.jmu
+// held; on return the caller still holds it, no mutation is in flight
+// and none can start until reopenLocked.
+func (db *DB) quiesceLocked() {
+	for db.gated {
+		db.turn.Wait()
+	}
+	db.gated = true
+	for db.retired != db.journaled {
+		db.turn.Wait()
+	}
+}
+
+// reopenLocked lifts the gate quiesceLocked closed.
+func (db *DB) reopenLocked() {
+	db.gated = false
+	db.turn.Broadcast()
+}
+
 // Checkpoint compacts the journal: the current tables become the
 // snapshot baseline and the records they summarize are removed.  The
-// database stays locked across the marshal and the compaction so the
-// snapshot covers exactly the journaled history.  No-op without a
-// journal.
+// pipeline is quiesced across the marshal and the compaction so the
+// snapshot covers exactly the journaled history; readers carry on.
+// No-op without a journal.
 func (db *DB) Checkpoint() error {
 	if db.log == nil {
 		return nil
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	data, err := json.Marshal(db.snapshotLocked())
+	db.jmu.Lock()
+	defer db.jmu.Unlock()
+	db.quiesceLocked()
+	defer db.reopenLocked()
+	if db.closed {
+		return errJournalClosed
+	}
+	db.mu.RLock()
+	snap := db.snapshotLocked()
+	db.mu.RUnlock()
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("metadb checkpoint: %w", err)
 	}
 	return db.log.Compact(data)
 }
 
-// CloseJournal syncs and closes the journal.  Mutations after this
-// fail.  No-op without a journal.
+// CloseJournal drains the pipeline, then syncs and closes the journal.
+// Mutations after this fail.  No-op without a journal or when already
+// closed.
 func (db *DB) CloseJournal() error {
 	if db.log == nil {
 		return nil
 	}
-	err := db.log.Close()
-	db.log = nil
-	return err
-}
-
-// journalLocked writes one mutation record and waits for the fsync
-// barrier.  Called with db.mu held so journal order equals apply
-// order.  Without a journal it is free.
-func (db *DB) journalLocked(typ byte, v any) error {
-	if db.log == nil {
+	db.jmu.Lock()
+	defer db.jmu.Unlock()
+	db.quiesceLocked()
+	defer db.reopenLocked()
+	if db.closed {
 		return nil
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("metadb journal: %w", err)
-	}
-	return db.journalRawLocked(typ, data)
+	db.closed = true
+	return db.log.Close()
 }
 
-// journalRawLocked appends one pre-marshalled record and waits for the
-// fsync barrier.  Called with db.mu held.  Without a journal it is
-// free.
-func (db *DB) journalRawLocked(typ byte, data []byte) error {
+var errJournalClosed = fmt.Errorf("metadb: journal closed")
+
+// journal runs one record through the journal and flush stages and
+// returns at its turn of the apply stage, holding db.mu: on nil the
+// caller updates the tables and calls applied.  On error the record
+// was not acknowledged, its turn has been passed on and no lock is
+// held.  Without a journal only the lock is taken.
+func (db *DB) journal(typ byte, data []byte) error {
 	if db.log == nil {
+		db.mu.Lock()
 		return nil
+	}
+	db.jmu.Lock()
+	for db.gated {
+		db.turn.Wait()
+	}
+	if db.closed {
+		db.jmu.Unlock()
+		return errJournalClosed
 	}
 	if err := db.log.Append(typ, data); err != nil {
+		db.jmu.Unlock()
 		return err
 	}
-	return db.log.Sync()
+	db.journaled++
+	ticket := db.journaled
+	db.jmu.Unlock()
+
+	err := db.log.Sync()
+
+	db.jmu.Lock()
+	for db.retired != ticket-1 {
+		db.turn.Wait()
+	}
+	if err != nil {
+		db.retireLocked()
+		return err
+	}
+	db.mu.Lock()
+	return nil
+}
+
+// applied ends the apply stage journal opened: it releases db.mu and
+// passes the turn to the next ticket.
+func (db *DB) applied() {
+	db.mu.Unlock()
+	if db.log != nil {
+		db.retireLocked()
+	}
+}
+
+// retireLocked passes the turn on and releases db.jmu.
+func (db *DB) retireLocked() {
+	db.retired++
+	db.turn.Broadcast()
+	db.jmu.Unlock()
 }
 
 // Replicator routes mutations through a cluster replicated log.  When
@@ -167,35 +256,43 @@ func (db *DB) replicator() Replicator {
 	return r
 }
 
-// replicate consumes one mutation when a replicator is installed.
-// handled=false means no replicator: the caller journals and applies
-// locally as usual.  handled=true means the record was offered to the
-// replicated log; on nil error it has been committed and applied back
-// to these tables via ApplyRecord, so the caller must not touch them.
-func (db *DB) replicate(p *vtime.Proc, typ byte, v any) (handled bool, err error) {
+// commit makes one mutation durable by whichever route the database is
+// configured for.  With a replicator installed the record is offered
+// to the replicated log; on nil error it has been committed and
+// applied back to these tables via ApplyRecord, so the caller must not
+// touch them (apply=false).  Otherwise the record goes through the
+// commit pipeline: apply=true means it is durable and the caller
+// holds db.mu at its turn — update the tables, then call applied.
+func (db *DB) commit(p *vtime.Proc, typ byte, v any) (apply bool, err error) {
 	rep := db.replicator()
-	if rep == nil {
-		return false, nil
+	var data []byte
+	if rep != nil || db.log != nil {
+		if data, err = json.Marshal(v); err != nil {
+			return false, fmt.Errorf("metadb journal: %w", err)
+		}
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		return true, fmt.Errorf("metadb journal: %w", err)
+	if rep != nil {
+		return false, rep.Replicate(p, typ, data)
 	}
-	return true, rep.Replicate(p, typ, data)
+	if err := db.journal(typ, data); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // ApplyRecord applies one committed replicated record: the follower
-// half of cluster replication.  The record is journaled locally (when
-// a journal is open) and then applied through the same switch crash
-// recovery replays, so a replica's tables and journal stay exactly as
-// if the mutation had happened here.  The replicator hook is not
-// consulted — the record has already been through the leader's log.
+// half of cluster replication.  The record goes through the same
+// commit pipeline as a local mutation (journaled and flushed when a
+// journal is open) and is applied through the switch crash recovery
+// replays, so a replica's tables and journal stay exactly as if the
+// mutation had happened here.  The replicator hook is not consulted —
+// the record has already been through the leader's log.  data is not
+// retained.
 func (db *DB) ApplyRecord(typ byte, data []byte) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalRawLocked(typ, data); err != nil {
+	if err := db.journal(typ, data); err != nil {
 		return err
 	}
+	defer db.applied()
 	return db.apply(wal.Record{Type: typ, Data: data})
 }
 

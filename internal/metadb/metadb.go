@@ -119,10 +119,13 @@ type DB struct {
 	params model.Params
 
 	// log, when set, is the write-ahead journal every mutation goes
-	// through before it is applied (see journal.go / OpenJournal).
+	// through before it is applied (see journal.go / OpenJournal).  It
+	// is set once, before the database is shared.
 	log *wal.Log
 
-	mu         sync.RWMutex
+	// mu guards the tables.  It is held only to read or update them,
+	// never across disk.
+	mu sync.RWMutex
 	// repl, when set, diverts every mutation through a cluster
 	// replicated log instead of the local journal/apply path (see
 	// Replicator in journal.go).
@@ -132,16 +135,28 @@ type DB struct {
 	lifecycles map[string]Lifecycle
 	samples    []PerfSample
 	constants  []PerfConstant
+
+	// The commit pipeline's state (journal.go).  jmu orders journal
+	// appends and hands out tickets; it is taken before mu and never
+	// held across a flush.
+	jmu       sync.Mutex
+	turn      sync.Cond // on jmu: a ticket retired, or the gate moved
+	journaled uint64    // tickets handed out = records appended
+	retired   uint64    // tickets applied or failed, in order
+	gated     bool      // Checkpoint/CloseJournal is quiescing: no new tickets
+	closed    bool      // CloseJournal ran: mutations fail
 }
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{
+	db := &DB{
 		params:     model.MetaDB2000(),
 		runs:       make(map[string]Run),
 		datasets:   make(map[string]Dataset),
 		lifecycles: make(map[string]Lifecycle),
 	}
+	db.turn.L = &db.jmu
+	return db
 }
 
 // charge advances p by the meta-data access constant; nil p skips
@@ -160,15 +175,11 @@ func (db *DB) PutRun(p *vtime.Proc, r Run) error {
 		return fmt.Errorf("metadb: run with empty ID")
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutRun, r); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutRun, r); err != nil {
+	if apply, err := db.commit(p, recPutRun, r); !apply {
 		return err
 	}
 	db.runs[r.ID] = r
+	db.applied()
 	return nil
 }
 
@@ -203,15 +214,11 @@ func (db *DB) PutDataset(p *vtime.Proc, d Dataset) error {
 		return fmt.Errorf("metadb: dataset with empty key (%q, %q)", d.RunID, d.Name)
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutDataset, d); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutDataset, d); err != nil {
+	if apply, err := db.commit(p, recPutDataset, d); !apply {
 		return err
 	}
 	db.datasets[dsKey(d.RunID, d.Name)] = d
+	db.applied()
 	return nil
 }
 
@@ -273,15 +280,11 @@ func (db *DB) PutLifecycle(p *vtime.Proc, l Lifecycle) error {
 		return fmt.Errorf("metadb: lifecycle with empty key (%q, %q)", l.Pool, l.Path)
 	}
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recPutLifecycle, l); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recPutLifecycle, l); err != nil {
+	if apply, err := db.commit(p, recPutLifecycle, l); !apply {
 		return err
 	}
 	db.lifecycles[lcKey(l.Pool, l.Path)] = l
+	db.applied()
 	return nil
 }
 
@@ -307,15 +310,11 @@ func (db *DB) DeleteLifecycle(p *vtime.Proc, pool, path string) error {
 	if !present {
 		return nil
 	}
-	if ok, err := db.replicate(p, recDelLifecycle, lifecycleKey{Pool: pool, Path: path}); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recDelLifecycle, lifecycleKey{Pool: pool, Path: path}); err != nil {
+	if apply, err := db.commit(p, recDelLifecycle, lifecycleKey{Pool: pool, Path: path}); !apply {
 		return err
 	}
 	delete(db.lifecycles, lcKey(pool, path))
+	db.applied()
 	return nil
 }
 
@@ -344,15 +343,11 @@ func (db *DB) Lifecycles(p *vtime.Proc, pool string) []Lifecycle {
 // without a journal; with one, nil means the sample is crash-durable.
 func (db *DB) AddSample(p *vtime.Proc, s PerfSample) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recAddSample, s); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recAddSample, s); err != nil {
+	if apply, err := db.commit(p, recAddSample, s); !apply {
 		return err
 	}
 	db.samples = append(db.samples, s)
+	db.applied()
 	return nil
 }
 
@@ -365,15 +360,11 @@ func (db *DB) AddSample(p *vtime.Proc, s PerfSample) error {
 // disagree with the arguments are rewritten to match.
 func (db *DB) ReplaceSamples(p *vtime.Proc, resource, op string, samples []PerfSample) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples}); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples}); err != nil {
+	if apply, err := db.commit(p, recReplaceSamples, replacePayload{Resource: resource, Op: op, Samples: samples}); !apply {
 		return err
 	}
 	db.replaceSamplesLocked(resource, op, samples)
+	db.applied()
 	return nil
 }
 
@@ -421,15 +412,11 @@ func (db *DB) Samples(p *vtime.Proc, resource, op string) []PerfSample {
 // SetConstant inserts or replaces an eq. (1) constant.
 func (db *DB) SetConstant(p *vtime.Proc, c PerfConstant) error {
 	db.charge(p, model.Write)
-	if ok, err := db.replicate(p, recSetConstant, c); ok {
-		return err
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.journalLocked(recSetConstant, c); err != nil {
+	if apply, err := db.commit(p, recSetConstant, c); !apply {
 		return err
 	}
 	db.setConstantLocked(c)
+	db.applied()
 	return nil
 }
 

@@ -7,7 +7,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // EncodeRecord frames one record exactly as a journal segment stores
@@ -20,7 +19,9 @@ func EncodeRecord(typ byte, data []byte) []byte {
 // DecodeRecord parses one EncodeRecord frame, verifying the declared
 // length and the checksum.  Any mismatch is ErrCorrupt: a frame that
 // fails its CRC must never be applied, whether it came off a disk
-// segment or a replication stream.
+// segment or a replication stream.  The returned Data aliases b: the
+// replication path decodes every frame twice per replica (verify on
+// offer, apply on commit), and neither use outlives the frame.
 func DecodeRecord(b []byte) (Record, error) {
 	if len(b) < recHeaderLen {
 		return Record{}, fmt.Errorf("%w: frame header short (%d bytes)", ErrCorrupt, len(b))
@@ -32,8 +33,8 @@ func DecodeRecord(b []byte) (Record, error) {
 		return Record{}, fmt.Errorf("%w: frame declares %d payload bytes, carries %d", ErrCorrupt, n, int64(len(b))-recHeaderLen)
 	}
 	payload := b[recHeaderLen:]
-	if got := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, payload); got != crc {
+	if frameCRC(typ, payload) != crc {
 		return Record{}, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
 	}
-	return Record{Type: typ, Data: append([]byte(nil), payload...)}, nil
+	return Record{Type: typ, Data: payload}, nil
 }

@@ -11,19 +11,39 @@
 //	seg-00000002.wal   (rotated when a segment passes SegmentBytes)
 //	snap-00000002.db   snapshot covering segments 1..2 (compaction)
 //
-// Segment header:  magic "MSRAWAL1" | u64 LE seq
-// Record frame:    u32 LE payload len | u32 LE CRC32C(type‖payload) |
-//	               u8 type | payload
-// Snapshot file:   magic "MSRASNP1" | u64 LE seq | u32 LE payload len |
-//	               u32 LE CRC32C(payload) | payload
+// File formats:
+//
+//	segment header  magic "MSRAWAL1" | u64 LE seq
+//	record frame    u32 LE payload len | u32 LE CRC32C(type‖payload) |
+//	                u8 type | payload
+//	snapshot file   magic "MSRASNP1" | u64 LE seq | u32 LE payload len |
+//	                u32 LE CRC32C(payload) | payload
 //
 // Durability discipline (every barrier is load-bearing):
 //
-//	append  = write frame; caller syncs before acking (Append+Sync)
-//	rotate  = sync old segment, create new, write header, sync file,
-//	          sync directory (a dirent is volatile until its dir is)
+//	append  = write frame under the append lock; not durable yet
+//	sync    = group commit.  Every record appended before the call is
+//	          durable when it returns.  The first caller leads: it notes
+//	          how far the log has been appended, releases the append
+//	          lock and fsyncs.  Callers that arrive meanwhile wait, and
+//	          one of them leads the single next flush, which covers them
+//	          all.  Append never waits on that fsync.  A lone caller
+//	          flushes on its own goroutine: no hand-off, no allocation.
+//	rotate  = wait out the in-flight flush, sync old segment, create
+//	          new, write header, sync file, sync directory (a dirent is
+//	          volatile until its dir is)
 //	compact = rotate; write snapshot to .tmp; sync; rename; sync dir;
 //	          then (and only then) remove covered segments; sync dir
+//	close   = wait out the in-flight flush, sync, close
+//
+// The first failed write or flush poisons the log: a short write leaves
+// a torn frame that later appends would bury mid-segment, where
+// recovery's torn-tail rule would truncate acknowledged records away
+// with it, and a failed fsync leaves the page cache in a state POSIX
+// does not define.  So every later Append, Sync and Compact fails with
+// that first error until the journal is reopened, and reopening
+// recovers exactly the records whose Sync returned nil (plus, possibly,
+// unacknowledged ones behind them).
 //
 // Recovery tolerates exactly what a crash can produce: a torn tail in
 // the final segment (dropped and truncated away) and leftover files a
@@ -134,19 +154,28 @@ type Stats struct {
 }
 
 // Log is an open journal.  Append/Sync/Compact are safe for concurrent
-// use, though callers normally serialize them under their own state
-// lock so journal order matches apply order.
+// use.  A caller whose apply order must match journal order serializes
+// its Appends under its own lock and releases that lock before Sync,
+// so that concurrent callers share flushes (see metadb's commit
+// pipeline).
 type Log struct {
 	opts Options
 
-	mu      sync.Mutex
-	f       vfs.File // active segment
-	seq     uint64   // active segment's sequence number
-	size    int64    // active segment's size
-	segs    int      // live segment count
+	mu      sync.Mutex // the append lock; never held across the group-commit fsync
+	flushed sync.Cond  // on mu: a flush ended
+	f       vfs.File   // active segment
+	seq     uint64     // active segment's sequence number
+	size    int64      // active segment's size
+	segs    int        // live segment count
 	st      Stats
 	closed  bool
 	scratch []byte // frame assembly buffer, reused across appends
+
+	// Group commit positions count records (st.Appends is the append
+	// position).  durable trails it by what no flush has covered yet.
+	durable  uint64
+	flushing bool  // a leader is inside fsync with mu released
+	err      error // first write or flush failure; sticky until reopen
 }
 
 // Open opens (creating if needed) the journal in opts.Dir, replays it,
@@ -170,6 +199,7 @@ func Open(opts Options) (*Log, Recovery, error) {
 	snapSeqs, segSeqs := classify(names)
 
 	l := &Log{opts: opts}
+	l.flushed.L = &l.mu
 	var rec Recovery
 
 	// Newest intact snapshot wins.  An unreadable newer snapshot is
@@ -292,24 +322,62 @@ func Open(opts Options) (*Log, Recovery, error) {
 	return l, rec, nil
 }
 
+// usableLocked reports why the log cannot take op: closed, or poisoned
+// by an earlier write or flush failure.
+func (l *Log) usableLocked(op string) error {
+	if l.closed {
+		return fmt.Errorf("wal %s: log closed", op)
+	}
+	if l.err != nil {
+		return fmt.Errorf("wal %s: log failed earlier: %w", op, l.err)
+	}
+	return nil
+}
+
+// failLocked poisons the log with its first failure and returns err.
+func (l *Log) failLocked(err error) error {
+	if l.err == nil {
+		l.err = err
+	}
+	return err
+}
+
+// fenceLocked waits out the in-flight group-commit flush, so that the
+// caller may sync, close or replace the active segment's handle.  It
+// releases mu while it waits: re-check closed and err afterwards.
+func (l *Log) fenceLocked() {
+	for l.flushing {
+		l.flushed.Wait()
+	}
+}
+
 // Append writes one record frame to the active segment, rotating
 // first if the segment is full.  The record is NOT durable until Sync
 // returns; callers must not acknowledge the mutation before then.
+// Append does not wait for a flush in progress unless it must rotate.
 func (l *Log) Append(typ byte, data []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal append: log closed")
+	if err := l.usableLocked("append"); err != nil {
+		return err
 	}
 	if l.size >= l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
+		l.fenceLocked()
+		// If that waited, the log may meanwhile have been closed,
+		// poisoned, or rotated by another appender.
+		if err := l.usableLocked("append"); err != nil {
 			return err
+		}
+		if l.size >= l.opts.SegmentBytes {
+			if err := l.rotateLocked(); err != nil {
+				return err
+			}
 		}
 	}
 	frame := appendFrame(l.scratch[:0], typ, data)
 	l.scratch = frame[:0]
 	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("wal append: %w", err)
+		return l.failLocked(fmt.Errorf("wal append: %w", err))
 	}
 	l.size += int64(len(frame))
 	l.st.Appends++
@@ -317,18 +385,45 @@ func (l *Log) Append(typ byte, data []byte) error {
 	return nil
 }
 
-// Sync is the durability barrier: it fsyncs the active segment, making
-// every previously appended record crash-safe.
+// Sync is the durability barrier: when it returns nil, every record
+// appended before the call is crash-safe.  Concurrent callers share
+// flushes (group commit): one leads with the append lock released, the
+// rest wait and are acknowledged by that flush or the single next one.
+// A failed flush fails every caller it would have covered and poisons
+// the log; a caller already waiting when the log fails or closes is
+// still told the truth about its own records.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal sync: log closed")
+	if err := l.usableLocked("sync"); err != nil {
+		return err
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal sync: %w", err)
+	want := l.st.Appends
+	for l.durable < want {
+		if err := l.usableLocked("sync"); err != nil {
+			return err
+		}
+		if l.flushing {
+			l.flushed.Wait()
+			continue
+		}
+		// Lead.  The flush covers what has been appended by now, which
+		// includes every waiter's records; what is appended while it
+		// runs waits for the next one.
+		f, upto := l.f, l.st.Appends
+		l.flushing = true
+		l.mu.Unlock()
+		err := f.Sync()
+		l.mu.Lock()
+		l.flushing = false
+		if err != nil {
+			l.failLocked(fmt.Errorf("wal sync: %w", err))
+		} else {
+			l.st.Syncs++
+			l.durable = upto
+		}
+		l.flushed.Broadcast()
 	}
-	l.st.Syncs++
 	return nil
 }
 
@@ -340,8 +435,9 @@ func (l *Log) Sync() error {
 func (l *Log) Compact(snapshot []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal compact: log closed")
+	l.fenceLocked()
+	if err := l.usableLocked("compact"); err != nil {
+		return err
 	}
 	fsys := l.opts.FS
 	covered := l.seq
@@ -387,19 +483,27 @@ func (l *Log) Compact(snapshot []byte) error {
 	return nil
 }
 
-// Close syncs and closes the active segment.
+// Close waits out the in-flight flush, then syncs and closes the active
+// segment.  A poisoned log is closed without the final sync and
+// reports the failure that poisoned it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.fenceLocked()
 	if l.closed {
 		return nil
 	}
 	l.closed = true
+	if l.err != nil {
+		l.f.Close()
+		return fmt.Errorf("wal close: log failed earlier: %w", l.err)
+	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
-		return fmt.Errorf("wal close: %w", err)
+		return l.failLocked(fmt.Errorf("wal close: %w", err))
 	}
 	l.st.Syncs++
+	l.durable = l.st.Appends
 	return l.f.Close()
 }
 
@@ -414,19 +518,23 @@ func (l *Log) Stats() Stats {
 }
 
 // rotateLocked finishes the active segment and starts the next one.
+// No group-commit flush may be in flight (fenceLocked): the handle it
+// syncs is closed here.  A failure poisons the log, which may be left
+// with no usable segment.
 func (l *Log) rotateLocked() error {
 	// Records appended but not yet synced must not lose their barrier
 	// ordering when the file handle changes: sync the old segment
 	// before abandoning it.
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
+		return l.failLocked(fmt.Errorf("wal rotate: %w", err))
 	}
 	l.st.Syncs++
+	l.durable = l.st.Appends
 	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
+		return l.failLocked(fmt.Errorf("wal rotate: %w", err))
 	}
 	if err := l.newSegmentLocked(l.seq + 1); err != nil {
-		return err
+		return l.failLocked(err)
 	}
 	l.segs++
 	l.st.Rotations++
@@ -476,10 +584,19 @@ func segHeader(seq uint64) []byte {
 	return binary.LittleEndian.AppendUint64(h, seq)
 }
 
+// frameCRC is the record checksum, CRC32C over type‖payload.  The type
+// byte is folded in by one table step: passing it to the hash as a
+// one-byte slice would cost a heap allocation per record, because the
+// slice escapes into the hash's assembly.
+func frameCRC(typ byte, data []byte) uint32 {
+	ofType := ^(crcTable[0xff^typ] ^ 0x00ffffff) // = crc32.Checksum([]byte{typ}, crcTable)
+	return crc32.Update(ofType, crcTable, data)
+}
+
 // appendFrame encodes one record frame onto buf.
 func appendFrame(buf []byte, typ byte, data []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, data)
+	crc := frameCRC(typ, data)
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	buf = append(buf, typ)
 	return append(buf, data...)
@@ -556,8 +673,7 @@ func parseSegment(data []byte, wantSeq uint64, maxRec int) (validLen int64, recs
 			return off, recs, fmt.Errorf("record at %d truncated", off)
 		}
 		payload := data[off+recHeaderLen : off+recHeaderLen+n]
-		got := crc32.Update(crc32.Checksum([]byte{typ}, crcTable), crcTable, payload)
-		if got != crc {
+		if frameCRC(typ, payload) != crc {
 			return off, recs, fmt.Errorf("record at %d checksum mismatch", off)
 		}
 		recs = append(recs, Record{Type: typ, Data: append([]byte(nil), payload...)})
