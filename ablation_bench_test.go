@@ -387,20 +387,20 @@ func BenchmarkAblationSuperfileFiles(b *testing.B) {
 	}
 }
 
-// benchSRBNet measures the WALL-clock cost of 8 ranks doing chunked
-// writes and reads through one shared wire session — the core.Run
-// arrangement over TCP.  Virtual-time results are identical between the
-// serialized and pipelined wire disciplines (the Now/AdvanceTo
-// handshake replays every op at its logical instant either way); what
-// the pair of benchmarks exposes is the real-time concurrency win of
-// the multiplexed protocol.
+// BenchmarkSRBNetPipelined measures the WALL-clock cost of 8 ranks
+// doing chunked writes and reads through one shared wire session — the
+// core.Run arrangement over TCP: tagged frames from all 8 ranks
+// multiplexed over the pooled connections simultaneously, encoded with
+// the zero-copy binary codec (pooled frame buffers, writev-coalesced
+// small frames).  CI gates allocs/op on this benchmark — see
+// .github/workflows/ci.yml.
 //
 // The sim runs in scaled mode, so the eq. (1) costs of the served disk
 // array become real wall-clock waits — the regime the wire layer
-// actually operates in.  The array has many independent channels: with
-// one request in flight the channels idle while ranks take turns on the
-// wire; multiplexed, the ranks' operations overlap across them.
-func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
+// actually operates in.  The array has many independent channels, and
+// the multiplexed protocol lets the ranks' operations overlap across
+// them.
+func BenchmarkSRBNetPipelined(b *testing.B) {
 	// 1 virtual second = 1 wall millisecond: a 4 KiB remote call
 	// (~45 ms virtual) waits ~45 µs of real time.
 	sim := vtime.NewScaled(1e-3)
@@ -422,7 +422,7 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 	}
 	defer srv.Close()
 	srv.SetLogf(func(string, ...any) {})
-	client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-array", storage.KindRemoteDisk, opts...)
+	client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-array", storage.KindRemoteDisk)
 	defer client.Close()
 
 	const ranks = 8
@@ -487,27 +487,4 @@ func benchSRBNet(b *testing.B, opts ...srbnet.Option) {
 	if err := sess.Close(p0); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// BenchmarkSRBNetSerialized is the wire-protocol-v1 baseline: one
-// private connection with one request in flight, so the 8 ranks take
-// turns on the wire.
-func BenchmarkSRBNetSerialized(b *testing.B) {
-	benchSRBNet(b, srbnet.WithSerialized())
-}
-
-// BenchmarkSRBNetPipelinedV2 is the gob ablation: tagged multiplexing
-// with the v2 gob codec instead of v3 binary frames, so the delta to
-// BenchmarkSRBNetPipelined is the codec alone.
-func BenchmarkSRBNetPipelinedV2(b *testing.B) {
-	benchSRBNet(b, srbnet.WithWireV2())
-}
-
-// BenchmarkSRBNetPipelined is the default wire: tagged frames from all
-// 8 ranks multiplexed over the pooled connections simultaneously,
-// encoded with the v3 zero-copy binary codec (pooled frame buffers,
-// writev-coalesced small frames).  CI gates allocs/op on this
-// benchmark — see .github/workflows/ci.yml.
-func BenchmarkSRBNetPipelined(b *testing.B) {
-	benchSRBNet(b)
 }

@@ -5,15 +5,16 @@
 // Usage:
 //
 //	benchreport [-scale test|bench|paper]
-//	            [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10a|fig10b|fig10c|fig11|worked|naive|srbnet|chaos|staging|calib|qos|failover|crash|hsm|workflow|cluster]
+//	            [-exp all|table1|table2|fig6|fig7|fig8|fig9|fig10a|fig10b|fig10c|fig11|worked|naive|chaos|staging|calib|qos|failover|crash|hsm|workflow|cluster]
 //	            [-json dir]
 //
 // The -exp list in this comment and in the flag help both come from
 // experiments.Names(); a test keeps this comment honest.
 //
 // With -json, experiments that publish machine-readable results (qos,
-// srbnet) additionally write BENCH_<exp>.json into dir: the full result
-// struct plus a flat "headline" map of the scalar metrics CI gates on.
+// crash, hsm, workflow, cluster) additionally write BENCH_<exp>.json
+// into dir: the full result struct plus a flat "headline" map of the
+// scalar metrics CI gates on.
 //
 // The paper scale (128³, N=120) runs the real solver and moves ≈2.2 GB
 // per figure-9 scenario; expect minutes.  The bench scale keeps the
@@ -143,30 +144,6 @@ func run(scale experiments.Scale, exp, jsonDir string) error {
 		}
 		fmt.Fprintf(out, "== Collective I/O ablation (strided temp dataset on remote disks) ==\ncollective %.2f s   naive %.2f s   (%.0f× slower without collective I/O)\n\n",
 			coll.Seconds(), naive.Seconds(), naive.Seconds()/coll.Seconds())
-	}
-	if all || exp == "srbnet" {
-		res, err := experiments.SRBNetConcurrency()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== Wire protocol v3: binary frames vs gob vs serialized (%d ranks × %d chunks) ==\nscaled sim, %d B chunks:  serialized %8.1f ms   gob pipelined %8.1f ms   v3 pipelined %8.1f ms   (%.1f× over serialized; virtual costs identical)\ncodec-bound, %d B chunks: gob %8.1f ms   v3 %8.1f ms   (%.2f× over gob)\n\n",
-			res.Ranks, res.ChunksPerRank, res.ChunkBytes,
-			float64(res.Serialized.Microseconds())/1000, float64(res.PipelinedV2.Microseconds())/1000,
-			float64(res.Pipelined.Microseconds())/1000, res.Speedup(),
-			res.WireChunkBytes, float64(res.WireV2.Microseconds())/1000,
-			float64(res.WireV3.Microseconds())/1000, res.V3OverV2())
-		err = writeJSON(jsonDir, "srbnet", scale, map[string]float64{
-			"speedup_x":       res.Speedup(),
-			"v3_over_v2_x":    res.V3OverV2(),
-			"serialized_ms":   float64(res.Serialized.Microseconds()) / 1000,
-			"pipelined_v2_ms": float64(res.PipelinedV2.Microseconds()) / 1000,
-			"pipelined_ms":    float64(res.Pipelined.Microseconds()) / 1000,
-			"wire_v2_ms":      float64(res.WireV2.Microseconds()) / 1000,
-			"wire_v3_ms":      float64(res.WireV3.Microseconds()) / 1000,
-		}, res)
-		if err != nil {
-			return err
-		}
 	}
 	if all || exp == "chaos" {
 		rows, err := experiments.Chaos(scale)

@@ -161,7 +161,7 @@ func Names() []string {
 	return []string{
 		"table1", "table2",
 		"fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig10c", "fig11",
-		"worked", "naive", "srbnet", "chaos", "staging", "calib", "qos", "failover",
+		"worked", "naive", "chaos", "staging", "calib", "qos", "failover",
 		"crash", "hsm", "workflow", "cluster",
 	}
 }

@@ -2,7 +2,6 @@ package srbnet
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -88,29 +87,12 @@ func WithRedial(attempts int, backoff time.Duration) Option {
 	}
 }
 
-// WithSerialized restores the protocol-v1 discipline for ablation: each
-// session dials a private connection and allows one request in flight
-// at a time (and speaks the v1/v2 gob codec).  Virtual-time results are
-// identical to the pipelined path; only wall-clock concurrency differs.
-func WithSerialized() Option {
-	return func(c *Client) { c.serialized = true }
-}
-
-// WithWireV2 keeps the wire-protocol-v2 gob codec on the multiplexed
-// connections for ablation: same tagged pipelining, but every frame
-// pays gob's reflective encode/decode and a fresh allocation per
-// payload.  `benchreport -exp srbnet` contrasts it against the v3
-// binary framing that is the default.
-func WithWireV2() Option {
-	return func(c *Client) { c.wireV2 = true }
-}
-
-// WithChunkBytes sets the wire-v3 streaming chunk size: an
-// opPutFile/opGetFile body larger than this travels as a sequence of
-// bounded chunk frames, so neither side ever materializes the whole
-// file as one wire message.  Bodies at or below the threshold keep the
-// exact single-transfer virtual-time cost of v2; chunked bodies charge
-// one device transfer per chunk.  Default DefaultChunkBytes.
+// WithChunkBytes sets the streaming chunk size: an opPutFile/opGetFile
+// body larger than this travels as a sequence of bounded chunk frames,
+// so neither side ever materializes the whole file as one wire message.
+// Bodies at or below the threshold are charged as one device transfer;
+// chunked bodies charge one device transfer per chunk.  Default
+// DefaultChunkBytes.
 func WithChunkBytes(n int) Option {
 	return func(c *Client) {
 		if n > 0 {
@@ -133,8 +115,8 @@ func WithMaxFrame(n int) Option {
 
 // Client reaches a remote srbnet server.  It implements storage.Backend.
 // Sessions share a pool of multiplexed TCP connections: every request
-// carries a tag, a writer goroutine per connection encodes frames (v3
-// coalesces queued frames into one writev), and a reader goroutine
+// carries a tag, a writer goroutine per connection encodes frames
+// (coalescing queued frames into one writev), and a reader goroutine
 // routes responses back to per-tag waiters, so many ranks keep RPCs in
 // flight simultaneously.
 type Client struct {
@@ -148,8 +130,6 @@ type Client struct {
 	poolSize       int
 	dialTimeout    time.Duration
 	readAhead      int
-	serialized     bool
-	wireV2         bool
 	chunkBytes     int
 	maxFrame       int
 	redialAttempts int
@@ -201,9 +181,6 @@ func NewClient(addr, user, secret, resource string, kind storage.Kind, opts ...O
 	return c
 }
 
-// v3 reports whether this client speaks the binary wire codec.
-func (c *Client) v3() bool { return !c.serialized && !c.wireV2 }
-
 // Name implements storage.Backend.
 func (c *Client) Name() string { return c.name }
 
@@ -229,9 +206,8 @@ func (c *Client) pid(p *vtime.Proc) uint64 {
 	return id
 }
 
-// dial opens and starts one multiplexed connection.  A v3 connection
-// announces its codec with the magic preamble; serialized and wireV2
-// clients keep the gob stream, which the server serves unchanged.
+// dial opens and starts one multiplexed connection, announcing the
+// protocol version with the magic preamble.
 func (c *Client) dial() (*mux, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
 	if err != nil {
@@ -240,27 +216,17 @@ func (c *Client) dial() (*mux, error) {
 	m := &mux{
 		c:       c,
 		conn:    conn,
+		br:      bufio.NewReader(conn),
 		sendq:   make(chan *request, 64),
 		stop:    make(chan struct{}),
 		waiters: make(map[uint64]chan *response),
-	}
-	if !c.v3() {
-		bw := bufio.NewWriter(conn)
-		m.bw = bw
-		m.enc = gob.NewEncoder(bw)
-		m.dec = gob.NewDecoder(bufio.NewReader(conn))
-		go m.writeLoopGob()
-		go m.readLoopGob()
-		return m, nil
 	}
 	if _, err := conn.Write(wireMagic[:]); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("srbnet client: preamble %s: %w: %w", c.addr, errConnFailed, err)
 	}
-	m.v3 = true
-	m.br = bufio.NewReader(conn)
-	go m.writeLoopV3()
-	go m.readLoopV3()
+	go m.writeLoop()
+	go m.readLoop()
 	return m, nil
 }
 
@@ -393,25 +359,6 @@ func (c *Client) Connect(p *vtime.Proc) (storage.Session, error) {
 	req.Op = opConnect
 	req.PID = c.pid(p)
 	req.User, req.Secret, req.Resource = c.user, c.secret, c.resource
-	if c.serialized {
-		m, err := c.dial()
-		if err != nil {
-			putRequest(req)
-			return nil, err
-		}
-		resp, err := m.call(p, req)
-		if resp != nil && atomic.LoadUint32(&req.sent) == 1 {
-			putRequest(req)
-		}
-		if err != nil {
-			resp.release()
-			m.fail(fmt.Errorf("srbnet client: %w", storage.ErrClosed))
-			return nil, err
-		}
-		sid := resp.Sess
-		resp.release()
-		return &clientSession{c: c, sid: sid, own: m}, nil
-	}
 	resp, err := c.roundTrip(p, req)
 	if resp != nil && atomic.LoadUint32(&req.sent) == 1 {
 		putRequest(req)
@@ -434,13 +381,7 @@ func (c *Client) Connect(p *vtime.Proc) (storage.Session, error) {
 type mux struct {
 	c    *Client
 	conn net.Conn
-
-	v3 bool
-	br *bufio.Reader // v3 frame reader
-
-	bw  *bufio.Writer // gob ablation path
-	enc *gob.Encoder
-	dec *gob.Decoder
+	br   *bufio.Reader
 
 	sendq chan *request
 	stop  chan struct{}
@@ -492,41 +433,11 @@ func (m *mux) failErr() error {
 	return fmt.Errorf("srbnet client: %w", storage.ErrClosed)
 }
 
-// writeLoopGob is the gob connection's only encoder.  It drains bursts
-// of queued frames before flushing, so pipelined ranks share syscalls,
-// while a lone frame is flushed immediately.
-func (m *mux) writeLoopGob() {
-	for {
-		var req *request
-		select {
-		case req = <-m.sendq:
-		case <-m.stop:
-			return
-		}
-		for req != nil {
-			if err := m.enc.Encode(req); err != nil {
-				m.fail(fmt.Errorf("srbnet client: send: %w: %w", errConnFailed, err))
-				return
-			}
-			atomic.StoreUint32(&req.sent, 1)
-			select {
-			case req = <-m.sendq:
-			default:
-				req = nil
-			}
-		}
-		if err := m.bw.Flush(); err != nil {
-			m.fail(fmt.Errorf("srbnet client: send: %w: %w", errConnFailed, err))
-			return
-		}
-	}
-}
-
-// writeLoopV3 is the v3 connection's only encoder.  Queued frames are
+// writeLoop is the connection's only encoder.  Queued frames are
 // encoded into pooled buffers and coalesced into one vectored write
 // (net.Buffers → writev), with each frame's bulk Data riding as its
 // own iovec so large payloads are never copied into the frame buffer.
-func (m *mux) writeLoopV3() {
+func (m *mux) writeLoop() {
 	var iov [][]byte
 	var metas []*frameBuf
 	var sent []*request
@@ -575,40 +486,12 @@ func (m *mux) writeLoopV3() {
 	}
 }
 
-// readLoopGob is the gob connection's only decoder, routing responses
-// to their tag's waiter.  A decode error or an unknown tag means the
-// stream is desynced and poisons the connection.
-func (m *mux) readLoopGob() {
-	for {
-		resp := new(response)
-		if err := m.dec.Decode(resp); err != nil {
-			m.fail(fmt.Errorf("srbnet client: recv: %w: %w", errConnFailed, err))
-			return
-		}
-		m.mu.Lock()
-		ch, ok := m.waiters[resp.Tag]
-		if ok {
-			delete(m.waiters, resp.Tag)
-		}
-		stopped := m.stopped
-		m.mu.Unlock()
-		if stopped {
-			return
-		}
-		if !ok {
-			m.fail(fmt.Errorf("srbnet client: recv: stream desync (unknown tag %d): %w", resp.Tag, errConnFailed))
-			return
-		}
-		ch <- resp
-	}
-}
-
-// readLoopV3 is the v3 connection's only decoder.  A frame error — a
+// readLoop is the connection's only decoder.  A frame error — a
 // truncated read, a length prefix over the cap, a corrupt body, an
-// unknown tag — poisons the connection exactly as a desynced gob
-// stream did.  Chunked opGetFile frames keep their waiter registered
+// unknown tag — means the stream is desynced and poisons the
+// connection.  Chunked opGetFile frames keep their waiter registered
 // until the flagLast frame arrives.
-func (m *mux) readLoopV3() {
+func (m *mux) readLoop() {
 	for {
 		f, err := readFrame(m.br, m.c.maxFrame)
 		if err != nil {
@@ -821,14 +704,10 @@ func (m *mux) streamPut(p *vtime.Proc, sess, pid uint64, name string, mode stora
 
 // clientSession is one wire session.  It is addressed by a server-side
 // id, so its requests travel over whichever pooled connection is least
-// busy — except in serialized mode, where it owns a private connection
-// and one call is in flight at a time.
+// busy.
 type clientSession struct {
 	c   *Client
 	sid uint64
-
-	own    *mux       // serialized mode only
-	callMu sync.Mutex // serialized mode only
 
 	mu     sync.Mutex
 	closed bool
@@ -855,15 +734,7 @@ func (s *clientSession) call(p *vtime.Proc, req *request) (*response, error) {
 	}
 	req.Sess = s.sid
 	req.PID = s.c.pid(p)
-	var resp *response
-	var err error
-	if s.own != nil {
-		s.callMu.Lock()
-		resp, err = s.own.call(p, req)
-		s.callMu.Unlock()
-	} else {
-		resp, err = s.c.roundTrip(p, req)
-	}
+	resp, err := s.c.roundTrip(p, req)
 	if resp != nil && atomic.LoadUint32(&req.sent) == 1 {
 		putRequest(req)
 	}
@@ -930,11 +801,10 @@ func (s *clientSession) List(p *vtime.Proc, prefix string) ([]storage.FileInfo, 
 }
 
 // PutFile implements storage.WholeFiler: one round trip for
-// open + write + close.  On the v3 wire a body larger than the chunk
-// threshold is streamed as bounded chunk frames instead of one
-// whole-file message.
+// open + write + close.  A body larger than the chunk threshold is
+// streamed as bounded chunk frames instead of one whole-file message.
 func (s *clientSession) PutFile(p *vtime.Proc, name string, mode storage.AMode, data []byte) error {
-	if s.own == nil && s.c.v3() && len(data) > s.c.chunkBytes {
+	if len(data) > s.c.chunkBytes {
 		return s.putStream(p, name, mode, data)
 	}
 	req := getRequest()
@@ -982,7 +852,7 @@ func (s *clientSession) putStream(p *vtime.Proc, name string, mode storage.AMode
 }
 
 // GetFile implements storage.WholeFiler: one round trip for
-// open + read + close.  A v3 server streams large bodies in bounded
+// open + read + close.  The server streams large bodies in bounded
 // chunks; mux.call reassembles them, so the only whole-file buffer on
 // the client is the one returned to the caller.
 func (s *clientSession) GetFile(p *vtime.Proc, name string) ([]byte, error) {
@@ -997,9 +867,8 @@ func (s *clientSession) GetFile(p *vtime.Proc, name string) ([]byte, error) {
 	return data, nil
 }
 
-// Close implements storage.Session.  A serialized-mode session tears
-// its private connection down; pooled connections stay warm for other
-// sessions.
+// Close implements storage.Session.  The pooled connections stay warm
+// for other sessions.
 func (s *clientSession) Close(p *vtime.Proc) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1012,9 +881,6 @@ func (s *clientSession) Close(p *vtime.Proc) error {
 	req.Op = opCloseSession
 	resp, err := s.call(p, req)
 	resp.release()
-	if s.own != nil {
-		s.own.fail(fmt.Errorf("srbnet client: %w", storage.ErrClosed))
-	}
 	return err
 }
 

@@ -73,8 +73,6 @@ func (c *Client) subClient(addr string) *Client {
 		poolSize:       c.poolSize,
 		dialTimeout:    c.dialTimeout,
 		readAhead:      c.readAhead,
-		serialized:     c.serialized,
-		wireV2:         c.wireV2,
 		chunkBytes:     c.chunkBytes,
 		maxFrame:       c.maxFrame,
 		redialAttempts: c.redialAttempts,

@@ -2,11 +2,9 @@ package srbnet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -136,6 +134,9 @@ func TestSessionsSharePooledConnection(t *testing.T) {
 	}
 	if err := s1.Close(p1); err != nil {
 		t.Fatal(err)
+	}
+	if err := s1.Close(p1); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("second close = %v, want ErrClosed", err)
 	}
 	// Closing one session must not disturb the other's connection.
 	if _, err := s2.Stat(p2, "shared/f1"); err != nil {
@@ -339,90 +340,6 @@ func TestReadAhead(t *testing.T) {
 	}
 	if err := sess.Close(p); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSerializedOption keeps the v1 wire discipline working for the
-// ablation baseline: private connection, one request in flight, session
-// Close tears the connection down.
-func TestSerializedOption(t *testing.T) {
-	sim := vtime.NewVirtual()
-	_, client := newServerOpts(t, sim, WithSerialized())
-	p := sim.NewProc("p")
-	sess, err := client.Connect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sess.Open(p, "ser/f", storage.ModeCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(p, []byte("serial"), 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 6)
-	if _, err := h.ReadAt(p, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "serial" {
-		t.Fatalf("got %q", got)
-	}
-	if err := h.Close(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(p); !errors.Is(err, storage.ErrClosed) {
-		t.Fatalf("second close = %v, want ErrClosed", err)
-	}
-}
-
-// TestStreamDesyncPoisonsConnection responds with an unknown tag — a
-// desynced gob stream from the client's point of view.  Every such
-// connection must be poisoned and dropped from the pool; once the
-// redial budget is spent the call fails instead of hanging.
-func TestStreamDesyncPoisonsConnection(t *testing.T) {
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		// Desync every connection, including redialed ones.
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				var req request
-				if err := dec.Decode(&req); err != nil {
-					return
-				}
-				enc.Encode(&response{Tag: req.Tag + 12345}) // never issued
-				io.Copy(io.Discard, conn)                   // hold the conn open
-			}(conn)
-		}
-	}()
-
-	sim := vtime.NewVirtual()
-	// The fake server above speaks gob, so pin the client to the v2
-	// codec; wire_test.go covers the same desync poisoning for v3.
-	client := NewClient(lis.Addr().String(), "shen", "nwu", "r", storage.KindRemoteDisk, WithWireV2())
-	defer client.Close()
-	p := sim.NewProc("p")
-	if _, err := client.Connect(p); err == nil {
-		t.Fatal("connect through a desynced stream succeeded")
-	}
-	client.mu.Lock()
-	nconns := len(client.conns)
-	client.mu.Unlock()
-	if nconns != 0 {
-		t.Fatalf("poisoned connection still pooled (%d conns)", nconns)
 	}
 }
 

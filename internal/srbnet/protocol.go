@@ -7,35 +7,34 @@
 // protocol, so applications are oblivious to whether a resource is wired
 // in-process or across a socket.
 //
-// Frames are length-prefixed binary messages (wire protocol v3; see
-// wire.go for the layout) with gob retained behind WithWireV2 as the
-// ablation baseline.  Virtual time crosses
-// the wire explicitly: each request carries the client process's logical
-// clock, the server replays the operation against its shared device
-// resources starting at that instant, and the response returns the
-// completion time which the client clock advances to.  Device contention
-// between clients is therefore preserved even over TCP.
+// Frames are length-prefixed little-endian binary messages over pooled
+// buffers (see wire.go for the layout): the steady-state read/write
+// path allocates nothing, queued frames are coalesced into one writev,
+// and opPutFile/opGetFile bodies above the chunk threshold stream as
+// bounded chunk frames, so a whole file is never materialized as one
+// wire message on either side.  A connection opens with a 4-byte magic
+// preamble, the protocol-version check; a server closes a connection
+// that opens with anything else without replying.
 //
-// Wire protocol v2 multiplexes: each request carries a client-assigned
-// Tag echoed by the response, so many RPCs are in flight on one
-// connection and responses return in completion order.  Because every
-// operation is replayed at the caller's logical instant, reordering on
-// the wire cannot change the simulated outcome.  Sessions are addressed
-// by a server-assigned Sess id rather than bound to a connection, which
-// lets pooled connections carry any session's traffic, and PID names the
+// Virtual time crosses the wire explicitly: each request carries the
+// client process's logical clock, the server replays the operation
+// against its shared device resources starting at that instant, and the
+// response returns the completion time which the client clock advances
+// to.  Device contention between clients is therefore preserved even
+// over TCP.
+//
+// The protocol multiplexes: each request carries a client-assigned Tag
+// echoed by the response, so many RPCs are in flight on one connection
+// and responses return in completion order.  Because every operation is
+// replayed at the caller's logical instant, reordering on the wire
+// cannot change the simulated outcome.  Sessions are addressed by a
+// server-assigned Sess id rather than bound to a connection, which lets
+// pooled connections carry any session's traffic, and PID names the
 // calling rank so the server charges per-rank clocks (seek locality is
 // tracked per process at the device layer).  Vectored ops (opReadV /
-// opWriteV) and whole-file ops (opPutFile / opGetFile) coalesce
-// call sequences into single round trips without changing their
+// opWriteV) and whole-file ops (opPutFile / opGetFile) coalesce call
+// sequences into single round trips without changing their
 // virtual-time cost.
-//
-// Wire protocol v3 keeps the v2 framing discipline but swaps the codec:
-// hand-rolled little-endian frames over pooled buffers (zero-alloc on
-// the steady-state read/write path), writev-coalesced sends, and
-// chunk-streamed opPutFile/opGetFile bodies so a whole file is never
-// materialized as one wire message on either side.  Both codecs share
-// one server — a v3 client announces itself with a 4-byte magic
-// preamble, anything else is served as gob.
 package srbnet
 
 import (
@@ -63,9 +62,9 @@ const (
 	opWriteV
 	opPutFile
 	opGetFile
-	// opChunk is one continuation frame of a chunked opPutFile body
-	// (wire v3 only): same Tag as the opening opPutFile frame, Data at
-	// Off, flagLast on the final chunk.
+	// opChunk is one continuation frame of a chunked opPutFile body:
+	// same Tag as the opening opPutFile frame, Data at Off, flagLast on
+	// the final chunk.
 	opChunk
 )
 
@@ -80,8 +79,7 @@ type wireVec struct {
 // request is one client→server frame.
 type request struct {
 	Op opCode
-	// Flags carries the v3 chunk-streaming bits (flagChunked/flagLast);
-	// always zero on the gob wire.
+	// Flags carries the chunk-streaming bits (flagChunked/flagLast).
 	Flags uint8
 	Tag   uint64 // client-assigned; echoed by the response
 
@@ -104,10 +102,9 @@ type request struct {
 	Data     []byte
 	Vecs     []wireVec // vectored ops
 
-	// Non-wire bookkeeping (unexported fields are invisible to gob and
-	// skipped by the v3 codec).
+	// Non-wire bookkeeping: the codec skips the unexported fields.
 	pooled           bool          // came from reqPool; putRequest recycles it
-	frame            *frameBuf     // v3 decode: the buffer Data/Vecs alias
+	frame            *frameBuf     // decode: the buffer Data/Vecs alias
 	stream           chan *request // server side: inbound opChunk frames
 	releaseAfterSend bool          // client writer recycles after the writev
 	// sent is set atomically by the connection writer once the frame is
@@ -249,7 +246,7 @@ func decodeErr(code errCode, msg string) error {
 type response struct {
 	Tag uint64 // echo of the request's tag
 	Err errCode
-	// Flags carries the v3 chunk-streaming bits for opGetFile bodies.
+	// Flags carries the chunk-streaming bits for opGetFile bodies.
 	Flags  uint8
 	ErrMsg string
 	// RetryAfterNs carries the scheduler's honor-after hint alongside
@@ -269,7 +266,7 @@ type response struct {
 
 	// Non-wire bookkeeping, as on request.
 	pooled bool
-	frame  *frameBuf // v3 decode: the buffer Data/Vecs alias
+	frame  *frameBuf // decode: the buffer Data/Vecs alias
 	dbuf   *frameBuf // server side: pooled backing for Data
 }
 

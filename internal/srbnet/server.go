@@ -3,7 +3,6 @@ package srbnet
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -25,11 +24,11 @@ import (
 // server-wide registry addressed by wire id, so any pooled connection
 // can carry any session's traffic.
 //
-// Each connection picks its codec on arrival: a wire-v3 client opens
-// with the 4-byte magic preamble and gets the binary framing path
-// (pooled buffers, writev-coalesced responses, chunk-streamed bodies);
-// anything else is served as a gob stream, so WithWireV2/WithSerialized
-// clients keep working against the same listener.
+// Every connection must open with the 4-byte magic preamble — the
+// protocol-version check — and is then served by the one binary
+// framing loop (pooled buffers, writev-coalesced responses,
+// chunk-streamed bodies).  A connection that opens with anything else
+// is closed without a reply.
 type Server struct {
 	broker *srb.Broker
 	sim    *vtime.Sim
@@ -90,7 +89,7 @@ func WithShardRouter(r ShardRouter) ServerOption {
 }
 
 // WithServerMaxFrame caps the declared body length the server accepts
-// for one inbound v3 frame, and bounds the buffer one opRead/opReadV/
+// for one inbound frame, and bounds the buffer one opRead/opReadV/
 // opGetFile response may pin.  A frame over the cap is rejected before
 // any allocation and poisons the connection.  Default DefaultMaxFrame.
 func WithServerMaxFrame(n int) ServerOption {
@@ -102,7 +101,7 @@ func WithServerMaxFrame(n int) ServerOption {
 }
 
 // WithServerChunkBytes sets the streaming threshold and chunk size for
-// v3 opGetFile responses: a file larger than this leaves the server as
+// opGetFile responses: a file larger than this leaves the server as
 // a sequence of bounded chunk frames.  Default DefaultChunkBytes.
 func WithServerChunkBytes(n int) ServerOption {
 	return func(s *Server) {
@@ -227,15 +226,16 @@ func (ss *srvSession) handle(id uint64) (storage.Handle, bool) {
 	return h, ok
 }
 
-// connWriter gives handlers on one v3 connection access to its response
+// connWriter gives handlers on one connection access to its response
 // queue, so a chunk-streamed opGetFile can push data frames ahead of
-// its final response.  nil on gob connections.
+// its final response.
 type connWriter struct {
 	respq chan *response
 }
 
-// serveConn owns one TCP connection: it sniffs the codec preamble and
-// hands off to the matching serve loop.
+// serveConn owns one TCP connection: it checks the protocol-version
+// preamble and enters the serve loop, or closes the connection without
+// writing a byte.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -253,85 +253,29 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	if bytes.Equal(magic, wireMagic[:]) {
-		br.Discard(len(wireMagic))
-		s.serveConnV3(conn, br)
+	if !bytes.Equal(magic, wireMagic[:]) {
+		s.logf("srbnet: unsupported wire preamble from %s: % x", conn.RemoteAddr(), magic)
 		return
 	}
-	s.serveConnGob(conn, br)
+	br.Discard(len(wireMagic))
+	s.serve(conn, br)
 }
 
-// serveConnGob is the wire-v2 serve loop.  A decode loop dispatches
-// each request to its own handler goroutine; a single writer goroutine
-// encodes responses in completion order, flushing the buffered writer
-// whenever the queue drains so that pipelined bursts coalesce into few
-// syscalls while a lone request still departs immediately.
-func (s *Server) serveConnGob(conn net.Conn, br *bufio.Reader) {
+// serve runs one connection past its preamble until the peer hangs up
+// or the stream fails.  The decode loop reads pooled frames and
+// dispatches each request to its own handler goroutine; opChunk
+// continuation frames are routed to their stream's channel instead
+// (owned by the streamed-put handler).  Any frame error — a truncated
+// read, a length over the cap, a corrupt body, a chunk for an unknown
+// stream, a stream head reusing a live tag — poisons the whole
+// connection.
+func (s *Server) serve(conn net.Conn, br *bufio.Reader) {
 	respq := make(chan *response, 64)
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		bw := bufio.NewWriter(conn)
-		enc := gob.NewEncoder(bw)
-		broken := false
-		for resp := range respq {
-			if broken {
-				continue // drain so handlers never block
-			}
-			if err := enc.Encode(resp); err != nil {
-				s.logf("srbnet: encode to %s: %v", conn.RemoteAddr(), err)
-				broken = true
-				conn.Close()
-				continue
-			}
-			if len(respq) == 0 {
-				if err := bw.Flush(); err != nil {
-					broken = true
-					conn.Close()
-				}
-			}
-		}
-		if !broken {
-			bw.Flush()
-		}
-	}()
-
-	dec := gob.NewDecoder(br)
-	var hwg sync.WaitGroup
-	for {
-		req := new(request)
-		if err := dec.Decode(req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.logf("srbnet: decode from %s: %v", conn.RemoteAddr(), err)
-			}
-			break
-		}
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			respq <- s.handle(req, nil)
-		}()
-	}
-	hwg.Wait()
-	close(respq)
-	wwg.Wait()
-}
-
-// serveConnV3 is the wire-v3 serve loop.  The decode loop reads pooled
-// frames and dispatches each request to its own handler goroutine;
-// opChunk continuation frames are routed to their stream's channel
-// instead (owned by the streamed-put handler).  Any frame error — a
-// truncated read, a length over the cap, a corrupt body, a chunk for an
-// unknown stream — poisons the whole connection, exactly as a desynced
-// gob stream did.
-func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
-	respq := make(chan *response, 64)
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		s.writeLoopV3(conn, respq)
+		s.writeLoop(conn, respq)
 	}()
 
 	wc := &connWriter{respq: respq}
@@ -372,6 +316,13 @@ func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
 			continue
 		}
 		if req.Op == opPutFile && req.Flags&flagChunked != 0 {
+			// A second head on a live tag would orphan the first
+			// handler's channel: never fed, never closed at teardown.
+			if _, dup := streams[req.Tag]; dup {
+				s.logf("srbnet: duplicate stream tag from %s (tag %d)", conn.RemoteAddr(), req.Tag)
+				req.release()
+				break
+			}
 			st := make(chan *request, 4)
 			req.stream = st
 			streams[req.Tag] = st
@@ -394,12 +345,12 @@ func (s *Server) serveConnV3(conn net.Conn, br *bufio.Reader) {
 	wwg.Wait()
 }
 
-// writeLoopV3 is the v3 connection's only encoder.  Queued responses
+// writeLoop is the connection's only encoder.  Queued responses
 // are encoded into pooled frame buffers and coalesced into one
 // vectored write (net.Buffers → writev), with each response's bulk
 // Data riding as its own iovec.  Frames, data buffers and response
 // structs all return to their pools once the writev lands.
-func (s *Server) writeLoopV3(conn net.Conn, respq chan *response) {
+func (s *Server) writeLoop(conn net.Conn, respq chan *response) {
 	var iov [][]byte
 	var metas []*frameBuf
 	var done []*response
@@ -474,16 +425,11 @@ func (s *Server) lookup(id uint64) *srvSession {
 // pushed forward to the client's clock so device contention is charged
 // at the right instant.  With a scheduler attached, data-plane opcodes
 // first pass admission control and then wait for their grant, so the
-// device acquisitions inside execute happen in scheduler order.  On a
-// v3 connection (wc != nil) the response struct and its data buffers
-// come from the pools; the writer releases them after the writev.
+// device acquisitions inside execute happen in scheduler order.  The
+// response struct and its data buffers come from the pools; the
+// connection writer releases them after the writev.
 func (s *Server) handle(req *request, wc *connWriter) *response {
-	var resp *response
-	if wc != nil {
-		resp = getResponse()
-	} else {
-		resp = new(response)
-	}
+	resp := getResponse()
 	resp.Tag = req.Tag
 	if req.Op == opConnect {
 		return s.handleConnect(req, resp)
@@ -644,13 +590,8 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if req.N < 0 || req.N > s.maxFrame {
 			return fail(fmt.Errorf("srbnet: read of %d bytes exceeds frame cap %d", req.N, s.maxFrame))
 		}
-		var buf []byte
-		if wc != nil {
-			resp.dbuf = getFrame()
-			buf = resp.dbuf.grow(req.N)
-		} else {
-			buf = make([]byte, req.N)
-		}
+		resp.dbuf = getFrame()
+		buf := resp.dbuf.grow(req.N)
 		n, err := h.ReadAt(proc, buf, req.Off)
 		resp.N = n
 		resp.Data = buf[:n]
@@ -685,20 +626,12 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if total > s.maxFrame {
 			return fail(fmt.Errorf("srbnet: vectored read of %d bytes exceeds frame cap %d", total, s.maxFrame))
 		}
-		var base []byte
-		if wc != nil {
-			resp.dbuf = getFrame()
-			base = resp.dbuf.grow(total)
-		}
+		resp.dbuf = getFrame()
+		base := resp.dbuf.grow(total)
 		used := 0
 		vecs := resp.Vecs[:0]
 		for _, v := range req.Vecs {
-			var buf []byte
-			if base != nil {
-				buf = base[used : used+v.N]
-			} else {
-				buf = make([]byte, v.N)
-			}
+			buf := base[used : used+v.N]
 			used += v.N
 			n, err := h.ReadAt(proc, buf, v.Off)
 			vecs = append(vecs, buf[:n])
@@ -745,20 +678,15 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 			return fail(err)
 		}
 		size := h.Size()
-		if wc != nil && size > int64(s.chunkBytes) {
+		if size > int64(s.chunkBytes) {
 			return s.streamGetFile(proc, req, resp, h, size, wc)
 		}
 		if size > int64(s.maxFrame) {
 			h.Close(proc)
 			return fail(fmt.Errorf("srbnet: file %q (%d bytes) exceeds frame cap %d", req.Path, size, s.maxFrame))
 		}
-		var buf []byte
-		if wc != nil {
-			resp.dbuf = getFrame()
-			buf = resp.dbuf.grow(int(size))
-		} else {
-			buf = make([]byte, size)
-		}
+		resp.dbuf = getFrame()
+		buf := resp.dbuf.grow(int(size))
 		n, err := h.ReadAt(proc, buf, 0)
 		if err != nil && !errors.Is(err, io.EOF) {
 			h.Close(proc)

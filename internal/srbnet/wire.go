@@ -1,8 +1,6 @@
-// Wire protocol v3: hand-rolled length-prefixed binary framing.
-//
-// gob's reflection-driven codec was the per-frame tax on every hot
-// path (and allocated a fresh []byte per payload).  v3 replaces it
-// with fixed little-endian frames:
+// The wire codec: hand-rolled length-prefixed binary framing, fixed
+// little-endian frames with no reflection and no per-payload
+// allocation:
 //
 //	u32  body length (everything after this prefix; capped on decode)
 //	u8   op (request) / err code (response)
@@ -21,8 +19,7 @@
 //
 // A frame whose declared body length exceeds the configurable cap is
 // rejected before any allocation, so a corrupt or hostile length
-// prefix cannot OOM either side — it poisons the connection exactly
-// like a desynced gob stream did.
+// prefix cannot OOM either side — it poisons the connection.
 package srbnet
 
 import (
@@ -37,7 +34,7 @@ import (
 	"time"
 )
 
-// Wire v3 limits; see WithMaxFrame / WithChunkBytes and the server
+// Wire limits; see WithMaxFrame / WithChunkBytes and the server
 // options of the same names.
 const (
 	// DefaultMaxFrame caps the declared body length of one decoded
@@ -52,10 +49,10 @@ const (
 	frameRetainBytes = 1 << 20
 )
 
-// wireMagic is written by a v3 client immediately after dialing.  The
-// server sniffs it to pick the codec per connection: a gob stream's
-// first byte is a uvarint message length whose multi-byte form starts
-// at 0xF8, so 0xF5 can never open a valid gob stream.
+// wireMagic is written by the client immediately after dialing and is
+// the protocol-version check: the server serves a connection only if
+// it opens with these four bytes, and otherwise closes it without
+// replying.  A change to the frame layout changes the last byte.
 var wireMagic = [4]byte{0xF5, 'S', 'R', '3'}
 
 // Frame flags.
@@ -153,7 +150,7 @@ func putResponse(r *response) {
 }
 
 // release returns the response, its backing frame, and its data buffer
-// to their pools.  Safe on gob-decoded responses (no-op).
+// to their pools.
 func (resp *response) release() {
 	if resp == nil {
 		return
@@ -165,8 +162,8 @@ func (resp *response) release() {
 }
 
 // ownData returns response data the caller may keep: frame-backed
-// slices are copied out (the frame is about to be recycled), while
-// gob-decoded or assembled buffers are already heap-owned.
+// slices are copied out (the frame is about to be recycled), while a
+// buffer assembled from a chunk stream is already heap-owned.
 func (resp *response) ownData() []byte {
 	if resp.frame == nil || len(resp.Data) == 0 {
 		return resp.Data
@@ -190,7 +187,7 @@ func appendBlob(b, p []byte) []byte {
 	return append(b, p...)
 }
 
-// encodeRequest appends req's v3 frame to f — everything except
+// encodeRequest appends req's frame to f — everything except
 // req.Data, which is returned for the caller to writev as the frame's
 // trailing bytes (zero-copy for the bulk payload).
 func encodeRequest(f *frameBuf, req *request) []byte {
@@ -316,7 +313,7 @@ func (r *wr) str() string {
 	return string(b)
 }
 
-// decodeRequest parses one v3 frame body into req.  String and data
+// decodeRequest parses one frame body into req.  String and data
 // sections alias body, so req must be released before the frame is.
 func decodeRequest(body []byte, req *request) error {
 	r := wr{b: body, ok: true}
@@ -349,7 +346,7 @@ func decodeRequest(body []byte, req *request) error {
 	return nil
 }
 
-// decodeResponse parses one v3 frame body into resp; the hot
+// decodeResponse parses one frame body into resp; the hot
 // opRead/opWrite shape (no error, no vecs, no infos) allocates
 // nothing.
 func decodeResponse(body []byte, resp *response) error {

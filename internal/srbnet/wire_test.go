@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,8 +270,8 @@ func TestCorruptFramePoisonsServer(t *testing.T) {
 	}
 }
 
-// fakeV3Server accepts v3 connections and answers every request with
-// reply(req) — the v3 mirror of the gob desync harness.
+// fakeV3Server accepts connections and answers every request with
+// reply(req).
 func fakeV3Server(t *testing.T, reply func(req *request) *response) net.Listener {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -310,6 +314,151 @@ func fakeV3Server(t *testing.T, reply func(req *request) *response) net.Listener
 		}
 	}()
 	return lis
+}
+
+// sendRawRequest writes one request frame straight onto a raw
+// connection, as the client's writer would.
+func sendRawRequest(t *testing.T, conn net.Conn, req *request) {
+	t.Helper()
+	f := getFrame()
+	defer putFrame(f)
+	data := encodeRequest(f, req)
+	if _, err := conn.Write(append(f.b, data...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDuplicateStreamTagPoisonsConnection: a second chunked opPutFile
+// head frame reusing a live tag is a corrupt stream.  Accepting it
+// would replace the first stream's channel, which is then neither fed
+// nor closed at teardown, so the first handler — and with it
+// Server.Close — would block forever.
+func TestDuplicateStreamTagPoisonsConnection(t *testing.T) {
+	sim := vtime.NewVirtual()
+	srv, _ := newServerOpts(t, sim)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	conn.Write(wireMagic[:])
+	sendRawRequest(t, conn, &request{Op: opConnect, Tag: 1, PID: 1,
+		User: "shen", Secret: "nwu", Resource: "sdsc-disk"})
+	br := bufio.NewReader(conn)
+	f, err := readFrame(br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := decodeResponse(f.b, &resp); err != nil || resp.Err != errNone {
+		t.Fatalf("connect: decode %v, code %d %q", err, resp.Err, resp.ErrMsg)
+	}
+
+	head := &request{Op: opPutFile, Flags: flagChunked, Tag: 2, Sess: resp.Sess, PID: 1,
+		Path: "dup/file", Mode: storage.ModeCreate, N: 4096, Data: make([]byte, 1024)}
+	sendRawRequest(t, conn, head)
+	sendRawRequest(t, conn, head)
+	// The server must hang up on the duplicate rather than wait for
+	// chunk frames.
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		t.Errorf("server kept a duplicate-stream-tag connection open: %v", err)
+	}
+	conn.Close()
+
+	done := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Server.Close hung behind the orphaned first stream handler")
+	}
+}
+
+// TestNonV3PreambleRejected: a connection that does not open with the
+// magic preamble is closed with nothing written to it and no session
+// registered, whatever it speaks instead, and the listener keeps
+// serving well-formed clients.
+func TestNonV3PreambleRejected(t *testing.T) {
+	var gobConnect bytes.Buffer
+	if err := gob.NewEncoder(&gobConnect).Encode(&request{Op: opConnect, Tag: 1, PID: 1,
+		User: "shen", Secret: "nwu", Resource: "sdsc-disk"}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		send    []byte
+		wantLog bool // a short read is a peer hanging up, not a protocol error
+	}{
+		{"gob connect", gobConnect.Bytes(), true},
+		{"http", []byte("GET / HTTP/1.1\r\n"), true},
+		{"three bytes then EOF", wireMagic[:3], false},
+	}
+
+	sim := vtime.NewVirtual()
+	srv, client := newServerOpts(t, sim)
+	var logMu sync.Mutex
+	var logs []string
+	srv.SetLogf(func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			logMu.Lock()
+			logs = nil
+			logMu.Unlock()
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			conn.(*net.TCPConn).CloseWrite()
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("server kept the connection open: %v", err)
+			}
+			if len(got) != 0 {
+				t.Fatalf("server wrote %d bytes (% x) to a rejected connection", len(got), got)
+			}
+			srv.sessMu.Lock()
+			nsess := len(srv.sessions)
+			srv.sessMu.Unlock()
+			if nsess != 0 {
+				t.Fatalf("%d sessions registered by a rejected connection", nsess)
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			logged := len(logs) == 1 && strings.Contains(logs[0], "unsupported wire preamble")
+			if tc.wantLog && !logged {
+				t.Fatalf("log = %q, want one unsupported-preamble line", logs)
+			}
+			if !tc.wantLog && len(logs) != 0 {
+				t.Fatalf("log = %q, want silence", logs)
+			}
+		})
+	}
+
+	p := sim.NewProc("p")
+	sess, err := client.Connect(p)
+	if err != nil {
+		t.Fatalf("connect after rejected peers: %v", err)
+	}
+	wf := sess.(storage.WholeFiler)
+	if err := wf.PutFile(p, "after/reject", storage.ModeCreate, []byte("still serving")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := wf.GetFile(p, "after/reject"); err != nil || string(got) != "still serving" {
+		t.Fatalf("round trip after rejected peers: %q, %v", got, err)
+	}
 }
 
 // TestV3DesyncPoisonsConnection: a response tag that was never issued

@@ -207,7 +207,7 @@ func NewSystem(cfg SystemConfig) (*System, error) { return core.NewSystem(cfg) }
 func NewBroker() *Broker { return srb.NewBroker() }
 
 // ServeSRB exposes a broker over TCP.  Server options shape how the
-// server executes data-plane opcodes (WithSRBScheduler) and the wire-v3
+// server executes data-plane opcodes (WithSRBScheduler) and the wire
 // framing limits (WithSRBServerChunkBytes, WithSRBServerMaxFrame).
 func ServeSRB(addr string, b *Broker, sim *Sim, opts ...SRBServerOption) (*SRBServer, error) {
 	return srbnet.Serve(addr, b, sim, opts...)
@@ -224,7 +224,7 @@ type SRBServerOption = srbnet.ServerOption
 var WithSRBScheduler = srbnet.WithScheduler
 
 // SRBOption configures an SRB client (pool size, dial timeout,
-// read-ahead, or the serialized v1 wire discipline).
+// read-ahead, redial budget, framing limits, cluster routing).
 type SRBOption = srbnet.Option
 
 // SRB client knobs, re-exported from internal/srbnet.
@@ -237,17 +237,11 @@ var (
 	// remote reads (off by default; it trades cost fidelity for wire
 	// throughput).
 	WithSRBReadAhead = srbnet.WithReadAhead
-	// WithSRBSerialized restores the one-in-flight v1 wire discipline
-	// (the ablation baseline).
-	WithSRBSerialized = srbnet.WithSerialized
 	// WithSRBRedial tunes how pooled requests recover from poisoned
 	// connections (attempt budget and backoff, charged to virtual time).
 	WithSRBRedial = srbnet.WithRedial
-	// WithSRBWireV2 pins the client to the gob-encoded v2 codec
-	// instead of the default v3 binary frames (the codec ablation).
-	WithSRBWireV2 = srbnet.WithWireV2
 	// WithSRBChunkBytes sets the streamed GetFile/PutFile chunk size
-	// on the client side (default 256 KiB; v3 only).
+	// on the client side (default 256 KiB).
 	WithSRBChunkBytes = srbnet.WithChunkBytes
 	// WithSRBMaxFrame caps the client's decoder pre-allocation: a
 	// frame declaring more than this many bytes poisons the
@@ -262,7 +256,7 @@ var (
 	WithSRBCluster = srbnet.WithCluster
 )
 
-// SRB server-side wire-v3 knobs, mirrors of the client pair above.
+// SRB server-side wire knobs, mirrors of the client pair above.
 var (
 	// WithSRBServerChunkBytes sets the server's streamed GetFile
 	// chunk size (default 256 KiB).

@@ -21,25 +21,9 @@ import (
 // an srbnet backend for every run-time optimization: all ranks issue
 // wire RPCs concurrently through the one shared session, multiplexed
 // over the pooled connections.  Run under -race (the CI workflow does),
-// this is the concurrency statement for the wire layer — exercised
-// under both the v3 binary codec (default) and the v2 gob ablation;
-// the byte checks are the correctness statement.
+// this is the concurrency statement for the wire layer; the byte checks
+// are the correctness statement.
 func TestConcurrentRanksOverWire(t *testing.T) {
-	codecs := []struct {
-		name string
-		opts []srbnet.Option
-	}{
-		{"v3", nil},
-		{"v2-gob", []srbnet.Option{srbnet.WithWireV2()}},
-	}
-	for _, codec := range codecs {
-		t.Run(codec.name, func(t *testing.T) {
-			testConcurrentRanksOverWire(t, codec.opts...)
-		})
-	}
-}
-
-func testConcurrentRanksOverWire(t *testing.T, clientOpts ...srbnet.Option) {
 	sim := vtime.NewVirtual()
 	broker := srb.NewBroker()
 	rdisk, err := remotedisk.New("sdsc-disk", memfs.New())
@@ -57,7 +41,7 @@ func testConcurrentRanksOverWire(t *testing.T, clientOpts ...srbnet.Option) {
 	defer srv.Close()
 	srv.SetLogf(func(string, ...any) {})
 
-	client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-disk", storage.KindRemoteDisk, clientOpts...)
+	client := srbnet.NewClient(srv.Addr(), "shen", "nwu", "sdsc-disk", storage.KindRemoteDisk)
 	defer client.Close()
 	sys, err := core.NewSystem(core.SystemConfig{
 		Sim: sim, Meta: metadb.New(), RemoteDisk: client,
