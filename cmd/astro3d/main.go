@@ -22,12 +22,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/hints"
 	"repro/internal/ioopt"
-	"repro/internal/localdisk"
-	"repro/internal/memfs"
 	"repro/internal/metadb"
-	"repro/internal/model"
-	"repro/internal/remotedisk"
-	"repro/internal/tape"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -133,23 +129,13 @@ func buildSystem(traced bool) (*core.System, *trace.Recorder, error) {
 	if traced {
 		rec = trace.New(0)
 	}
-	local, err := localdisk.New("argonne-ssa", memfs.New(), localdisk.WithTrace(rec))
-	if err != nil {
-		return nil, nil, err
-	}
-	rdisk, err := remotedisk.New("sdsc-disk", memfs.New(), remotedisk.WithTrace(rec))
-	if err != nil {
-		return nil, nil, err
-	}
-	rtape, err := tape.New(tape.Config{
-		Name: "sdsc-hpss", Params: model.RemoteTape2000(), Store: memfs.New(), Trace: rec,
-	})
+	res, err := testbed.New(testbed.Dir(""), rec)
 	if err != nil {
 		return nil, nil, err
 	}
 	sys, err := core.NewSystem(core.SystemConfig{
 		Sim: vtime.NewVirtual(), Meta: metadb.New(),
-		LocalDisk: local, RemoteDisk: rdisk, RemoteTape: rtape,
+		LocalDisk: res.Local, RemoteDisk: res.RDisk, RemoteTape: res.Tape,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -14,14 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/localdisk"
-	"repro/internal/memfs"
 	"repro/internal/metadb"
-	"repro/internal/model"
-	"repro/internal/ptool"
-	"repro/internal/remotedisk"
-	"repro/internal/tape"
-	"repro/internal/vtime"
+	"repro/internal/testbed"
 )
 
 func main() {
@@ -31,22 +25,12 @@ func main() {
 	save := flag.String("save", "", "write the performance database to this JSON file")
 	flag.Parse()
 
-	local, err := localdisk.New("argonne-ssa", memfs.New())
+	res, err := testbed.New(testbed.Dir(""), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rdisk, err := remotedisk.New("sdsc-disk", memfs.New())
-	if err != nil {
-		log.Fatal(err)
-	}
-	rtape, err := tape.New(tape.Config{Name: "sdsc-hpss", Params: model.RemoteTape2000(), Store: memfs.New()})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	meta := metadb.New()
-	reports, err := ptool.MeasureAll(vtime.NewVirtual(), meta, ptool.Config{Repeats: *repeats},
-		local, rdisk, rtape)
+	reports, err := res.Sweep(meta, *repeats)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,16 +28,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/ioopt"
-	"repro/internal/localdisk"
-	"repro/internal/memfs"
 	"repro/internal/metadb"
-	"repro/internal/model"
 	"repro/internal/pattern"
 	"repro/internal/predict"
 	"repro/internal/ptool"
-	"repro/internal/remotedisk"
 	"repro/internal/storage"
 	"repro/internal/tape"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 )
@@ -50,8 +47,8 @@ type Env struct {
 	Sys     *core.System
 	Meta    *metadb.DB
 	PDB     *predict.DB
-	Local   storage.Backend
-	RDisk   storage.Backend
+	Local   *device.Backend
+	RDisk   *device.Backend
 	RTape   *tape.Library
 	Reports []ptool.Report
 
@@ -78,12 +75,8 @@ func (e *Env) Classes() map[string]string {
 // the simulation has completed, so the consumer must not queue behind
 // the producer's device occupancy.
 func (e *Env) ResetClocks() {
-	if b, ok := e.Local.(*device.Backend); ok {
-		b.ResetClocks()
-	}
-	if b, ok := e.RDisk.(*device.Backend); ok {
-		b.ResetClocks()
-	}
+	e.Local.ResetClocks()
+	e.RDisk.ResetClocks()
 	e.RTape.ResetClocks()
 }
 
@@ -101,54 +94,38 @@ func newEnv(traced bool) (*Env, error) {
 	sim := vtime.NewVirtual()
 	var rec *trace.Recorder
 	var met *trace.Metrics
-	var lopts []localdisk.Option
-	var ropts []remotedisk.Option
 	if traced {
 		// The metrics fold covers the whole run regardless of the raw
 		// retention window, so a bounded window keeps memory flat.
 		rec = trace.New(1 << 16)
 		met = trace.NewMetrics()
 		rec.SetMetrics(met)
-		lopts = append(lopts, localdisk.WithTrace(rec))
-		ropts = append(ropts, remotedisk.WithTrace(rec))
 	}
-	local, err := localdisk.New("argonne-ssa", memfs.New(), lopts...)
-	if err != nil {
-		return nil, err
-	}
-	rdisk, err := remotedisk.New("sdsc-disk", memfs.New(), ropts...)
-	if err != nil {
-		return nil, err
-	}
-	rtape, err := tape.New(tape.Config{Name: "sdsc-hpss", Params: model.RemoteTape2000(), Store: memfs.New(), Trace: rec})
+	res, err := testbed.New(testbed.Dir(""), rec)
 	if err != nil {
 		return nil, err
 	}
 	meta := metadb.New()
 	// PTool runs on its own clock domain so the sweep does not preload
 	// the experiment devices.
-	reports, err := ptool.MeasureAll(vtime.NewVirtual(), meta, ptool.Config{Repeats: 1},
-		local, rdisk, rtape)
+	reports, err := res.Sweep(meta, 1)
 	if err != nil {
 		return nil, err
 	}
-	local.ResetClocks()
-	rdisk.ResetClocks()
-	rtape.ResetClocks()
 	// Drop the sweep's own traffic: calibration must see only what the
 	// application charges.
 	rec.Reset()
 	met.Reset()
 	sys, err := core.NewSystem(core.SystemConfig{
 		Sim: sim, Meta: meta,
-		LocalDisk: local, RemoteDisk: rdisk, RemoteTape: rtape,
+		LocalDisk: res.Local, RemoteDisk: res.RDisk, RemoteTape: res.Tape,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Env{
 		Sim: sim, Sys: sys, Meta: meta, PDB: predict.NewDB(meta),
-		Local: local, RDisk: rdisk, RTape: rtape, Reports: reports,
+		Local: res.Local, RDisk: res.RDisk, RTape: res.Tape, Reports: reports,
 		Rec: rec, Metrics: met,
 	}, nil
 }
