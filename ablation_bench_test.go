@@ -1,10 +1,9 @@
 // Ablation benchmarks for the design choices behind the reproduction:
 // the run-time optimization strategies against each storage class, the
 // SSA channel count of the local-disk model, the tape library's drive
-// count, asynchronous write-behind and prefetch, and the superfile's
-// sensitivity to the number of small files.  Each reports the simulated
-// cost as virt-s, so the trade-offs read directly off `go test -bench
-// Ablation`.
+// count, and the superfile's sensitivity to the number of small
+// files.  Each reports the simulated cost as virt-s, so the trade-offs
+// read directly off `go test -bench Ablation`.
 package msra_test
 
 import (
@@ -13,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/aio"
 	"repro/internal/collective"
 	"repro/internal/device"
 	"repro/internal/ioopt"
@@ -137,7 +135,7 @@ func BenchmarkAblationLocalDiskChannels(b *testing.B) {
 		b.Run(fmt.Sprintf("channels%d", channels), func(b *testing.B) {
 			var cost time.Duration
 			for i := 0; i < b.N; i++ {
-				be, err := localdisk.New("l", memfs.New(), localdisk.WithChannels(channels))
+				be, err := localdisk.New("l", memfs.New(), func(c *device.Config) { c.Channels = channels })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -218,97 +216,6 @@ func BenchmarkAblationTapeDrives(b *testing.B) {
 				<-done
 				<-done
 				cost = vtime.MaxNow(ps...)
-			}
-			b.ReportMetric(cost.Seconds(), "virt-s")
-		})
-	}
-}
-
-// BenchmarkAblationWriteBehind contrasts synchronous dumps with the
-// aio write-behind queue overlapping a compute phase.
-func BenchmarkAblationWriteBehind(b *testing.B) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "writebehind"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cost time.Duration
-			for i := 0; i < b.N; i++ {
-				be, err := remotedisk.New("r", memfs.New())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim := vtime.NewVirtual()
-				p := sim.NewProc("compute")
-				sess, _ := be.Connect(p)
-				h, _ := sess.Open(p, "f", storage.ModeCreate)
-				data := make([]byte, 1<<20)
-				if async {
-					w := aio.NewWriter(sim, h, 8)
-					for step := 0; step < 4; step++ {
-						if err := w.WriteAt(p, data, int64(step)<<20); err != nil {
-							b.Fatal(err)
-						}
-						p.Advance(2 * time.Second) // overlapped compute
-					}
-					if err := w.Close(p); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					for step := 0; step < 4; step++ {
-						if _, err := h.WriteAt(p, data, int64(step)<<20); err != nil {
-							b.Fatal(err)
-						}
-						p.Advance(2 * time.Second)
-					}
-				}
-				cost = p.Now()
-			}
-			b.ReportMetric(cost.Seconds(), "virt-s")
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch contrasts blocking timestep reads with
-// read-ahead of the next timestep.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, ahead := range []bool{false, true} {
-		name := "blocking"
-		if ahead {
-			name = "prefetch"
-		}
-		b.Run(name, func(b *testing.B) {
-			var cost time.Duration
-			for i := 0; i < b.N; i++ {
-				be, err := remotedisk.New("r", memfs.New())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sim := vtime.NewVirtual()
-				w := sim.NewProc("w")
-				sess, _ := be.Connect(w)
-				const steps = 6
-				for s := 0; s < steps; s++ {
-					h, _ := sess.Open(w, fmt.Sprintf("iter%04d", s), storage.ModeCreate)
-					h.WriteAt(w, make([]byte, 1<<20), 0)
-					h.Close(w)
-				}
-				be.ResetClocks()
-				p := sim.NewProc("consumer")
-				sess2, _ := be.Connect(p)
-				pf := aio.NewPrefetcher(sim, sess2)
-				for s := 0; s < steps; s++ {
-					next := ""
-					if ahead && s+1 < steps {
-						next = fmt.Sprintf("iter%04d", s+1)
-					}
-					if _, err := pf.Read(p, fmt.Sprintf("iter%04d", s), next); err != nil {
-						b.Fatal(err)
-					}
-					p.Advance(4 * time.Second) // compute per timestep
-				}
-				cost = p.Now()
 			}
 			b.ReportMetric(cost.Seconds(), "virt-s")
 		})

@@ -12,8 +12,8 @@
 // round robin over predictor-priced cost per user, cartridge-batched
 // tape reads, and bounded queue budgets that shed excess load with a
 // retry-after hint.  -max-inflight 0 disables the scheduler entirely
-// (the FIFO-free ablation: every opcode executes on arrival).  Users
-// absent from -tenants are scheduled at weight 1.
+// (every opcode executes on arrival).  Users absent from -tenants are
+// scheduled at weight 1.
 //
 // Usage:
 //

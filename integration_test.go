@@ -13,7 +13,6 @@ import (
 	"repro/internal/metadb"
 	"repro/internal/model"
 	"repro/internal/remotedisk"
-	"repro/internal/replica"
 	"repro/internal/srb"
 	"repro/internal/srbnet"
 	"repro/internal/storage"
@@ -111,49 +110,6 @@ func TestPipelineOverTCP(t *testing.T) {
 	}
 	if len(vres.Images) != 3 {
 		t.Fatalf("images over TCP = %d", len(vres.Images))
-	}
-}
-
-// TestReplicaAsSystemBackend plugs a replicating backend in as the
-// system's remote-disk resource: the run keeps going when the preferred
-// member dies between producer and consumer.
-func TestReplicaAsSystemBackend(t *testing.T) {
-	sim := vtime.NewVirtual()
-	fast, err := localdisk.New("fast", memfs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := remotedisk.New("slow", memfs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror, err := replica.New("mirror", fast, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(core.SystemConfig{
-		Sim: sim, Meta: metadb.New(), RemoteDisk: mirror,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := astro3d.Run(sys, "sim", astro3d.Params{
-		Nx: 8, Ny: 8, Nz: 8, MaxIter: 6, AnalysisFreq: 3, Procs: 2,
-		Locations:       map[string]core.Location{"temp": core.LocRemoteDisk},
-		DefaultLocation: core.LocDisable,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The fast member dies; analysis still reads every timestep.
-	fast.SetDown(true)
-	res, err := mse.Run(sys, "mse", mse.Params{
-		ProducerRun: "sim", Dataset: "temp", Iterations: 6, Procs: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Steps) != 3 {
-		t.Fatalf("steps = %v", res.Steps)
 	}
 }
 

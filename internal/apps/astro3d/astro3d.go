@@ -81,12 +81,13 @@ type Params struct {
 	// Opt is the run-time optimization for all datasets (Collective by
 	// default).
 	Opt ioopt.Kind
-	// FlopRate models the per-rank compute speed in cell-updates/second
-	// of virtual time (default 2e6, a year-2000 RS/6000-390-ish rate for
-	// this kernel).  Compute time is charged between dumps but reported
-	// separately from I/O time.
-	FlopRate float64
 }
+
+// flopRate models the per-rank compute speed in cell-updates/second of
+// virtual time (a year-2000 RS/6000-390-ish rate for this kernel).
+// Compute time is charged between dumps but reported separately from
+// I/O time.
+const flopRate = 2e6
 
 func (p *Params) setDefaults() {
 	if p.Nx == 0 {
@@ -97,9 +98,6 @@ func (p *Params) setDefaults() {
 	}
 	if p.Procs == 0 {
 		p.Procs = 8
-	}
-	if p.FlopRate == 0 {
-		p.FlopRate = 2e6
 	}
 }
 
@@ -212,7 +210,7 @@ func runFromState(sys *core.System, runID string, prm Params, st *state) (Report
 			return rep, err
 		}
 		if i < prm.MaxIter {
-			st.step(procs, prm.FlopRate)
+			st.step(procs, flopRate)
 		}
 	}
 	rep.IOTime = run.IOTime()

@@ -39,29 +39,20 @@ type Config struct {
 	// database is keyed by (e.g. "remotedisk").  Instances missing from
 	// the map fall back to their own name as the class.
 	Classes map[string]string
-	// Band is the drift threshold on |ratio − 1|; DefaultBand if zero.
-	Band float64
-	// MinCalls skips cells with fewer observed calls (default 1): a
-	// single native call is a legitimate sample in virtual time, but
-	// real deployments would raise this to reject noise.
-	MinCalls int64
 }
 
 // Engine computes residuals and applies calibration.
 type Engine struct {
 	cfg Config
 	pdb *predict.DB
+	// minCalls skips cells with fewer observed calls: a single native
+	// call is a legitimate sample in virtual time.
+	minCalls int64
 }
 
 // New returns an engine over the given configuration.
 func New(cfg Config) *Engine {
-	if cfg.Band <= 0 {
-		cfg.Band = DefaultBand
-	}
-	if cfg.MinCalls <= 0 {
-		cfg.MinCalls = 1
-	}
-	return &Engine{cfg: cfg, pdb: predict.NewDB(cfg.Meta)}
+	return &Engine{cfg: cfg, pdb: predict.NewDB(cfg.Meta), minCalls: 1}
 }
 
 // Residual is one measured-vs-predicted comparison for a (resource
@@ -129,7 +120,7 @@ func (e *Engine) join(snap []trace.OpStats) map[[2]string][]bucketObs {
 			// curve.
 			continue
 		}
-		if s.Calls < e.cfg.MinCalls {
+		if s.Calls < e.minCalls {
 			continue
 		}
 		class := e.class(s.Backend)
@@ -173,7 +164,7 @@ func (e *Engine) residualFor(class, op string, obs []bucketObs, backends []strin
 	if r.PredictedSec > 0 {
 		r.Ratio = r.MeasuredSec / r.PredictedSec
 	}
-	r.Drift = math.Abs(r.Ratio-1) > e.cfg.Band
+	r.Drift = math.Abs(r.Ratio-1) > DefaultBand
 	return r
 }
 

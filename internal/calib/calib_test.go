@@ -138,7 +138,8 @@ func TestMinCallsSkipsThinCells(t *testing.T) {
 	meta := skewedDB()
 	m := trace.NewMetrics()
 	observe(m, 2, 1<<20)
-	e := New(Config{Meta: meta, Classes: map[string]string{"sdsc-disk": "remotedisk"}, MinCalls: 5})
+	e := New(Config{Meta: meta, Classes: map[string]string{"sdsc-disk": "remotedisk"}})
+	e.minCalls = 5
 	if rs := e.Residuals(m.Snapshot()); len(rs) != 0 {
 		t.Fatalf("thin cell calibrated: %+v", rs)
 	}

@@ -58,18 +58,6 @@ func (l *Log) Applied() uint64 {
 	return l.applied
 }
 
-// EntryAt returns a copy of the entry at index i.
-func (l *Log) EntryAt(i uint64) (Entry, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if i == 0 || i > uint64(len(l.entries)) {
-		return Entry{}, false
-	}
-	e := l.entries[i-1]
-	e.Frame = append([]byte(nil), e.Frame...)
-	return e, true
-}
-
 // appendEntries offers a contiguous batch to the log.  Each frame is
 // CRC-verified before anything is stored.  An entry matching stored
 // history (same index, term, and bytes) is idempotently skipped; a

@@ -15,8 +15,7 @@ import (
 // Ring is the fixed shard map: shard s of Shards() is owned by broker
 // Owner(s).  The zero Ring is unsharded — every path maps to shard 0
 // owned by node 0 — which is exactly what a single-broker deployment
-// degenerates to.  Ring values are immutable; reassignment builds a
-// new value via WithOwners.
+// degenerates to.  Ring values are immutable.
 type Ring struct {
 	owners []int
 }
@@ -58,9 +57,6 @@ func (r Ring) Owner(s int) int {
 
 // Owners returns a copy of the shard→node table.
 func (r Ring) Owners() []int { return append([]int(nil), r.owners...) }
-
-// WithOwners returns a ring with the given shard→node table.
-func (r Ring) WithOwners(owners []int) Ring { return ringFromOwners(owners) }
 
 // Shard maps a path to its shard by hashing its collection key.
 func (r Ring) Shard(path string) int {

@@ -115,7 +115,7 @@ func TestWriteProducesGlobalArray(t *testing.T) {
 		{"CBB", pattern.Grid{2, 2, 1}},
 	}
 	for _, c := range cases {
-		r := newRig(t, []int{8, 8, 8}, 4, c.pat, c.grid, model.Memory(), storage.ModeCreate)
+		r := newRig(t, []int{8, 8, 8}, 4, c.pat, c.grid, model.Params{Name: "memory"}, storage.ModeCreate)
 		if err := Write(r.op, r.procs, r.handles, r.bufs); err != nil {
 			t.Fatalf("%s/%v: %v", c.pat, c.grid, err)
 		}
@@ -129,7 +129,7 @@ func TestWriteOverwriteTruncSafe(t *testing.T) {
 	// ModeCreate for rank 0, over_write for the rest: ensure over_write
 	// truncation by later ranks does not clobber earlier writes (the rig
 	// opens all handles before writing).
-	r := newRig(t, []int{4, 4}, 2, "BB", pattern.Grid{2, 2}, model.Memory(), storage.ModeCreate)
+	r := newRig(t, []int{4, 4}, 2, "BB", pattern.Grid{2, 2}, model.Params{Name: "memory"}, storage.ModeCreate)
 	if err := Write(r.op, r.procs, r.handles, r.bufs); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestWriteOverwriteTruncSafe(t *testing.T) {
 }
 
 func TestReadScattersGlobalArray(t *testing.T) {
-	r := newRig(t, []int{8, 8, 8}, 4, "BBB", pattern.Grid{2, 2, 2}, model.Memory(), storage.ModeRead)
+	r := newRig(t, []int{8, 8, 8}, 4, "BBB", pattern.Grid{2, 2, 2}, model.Params{Name: "memory"}, storage.ModeRead)
 	got := make([][]byte, len(r.bufs))
 	for i := range got {
 		got[i] = make([]byte, len(r.bufs[i]))
@@ -155,7 +155,7 @@ func TestReadScattersGlobalArray(t *testing.T) {
 }
 
 func TestNaiveWriteAndReadRoundTrip(t *testing.T) {
-	r := newRig(t, []int{6, 6}, 4, "BB", pattern.Grid{2, 3}, model.Memory(), storage.ModeCreate)
+	r := newRig(t, []int{6, 6}, 4, "BB", pattern.Grid{2, 3}, model.Params{Name: "memory"}, storage.ModeCreate)
 	if err := WriteNaive(r.op, r.procs, r.handles, r.bufs); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCollectiveChargesOneNativeCallPerRank(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	r := newRig(t, []int{4, 4}, 1, "BB", pattern.Grid{2, 2}, model.Memory(), storage.ModeCreate)
+	r := newRig(t, []int{4, 4}, 1, "BB", pattern.Grid{2, 2}, model.Params{Name: "memory"}, storage.ModeCreate)
 	if err := Write(r.op, r.procs[:2], r.handles, r.bufs); err == nil {
 		t.Fatal("proc count mismatch accepted")
 	}
@@ -240,7 +240,7 @@ func TestQuickCollectiveRoundTrip(t *testing.T) {
 		dims := []int{8, 12}
 		pat := pattern.Pattern{pattern.Block, pattern.Block}
 		op := Op{Dims: dims, Etype: 2, Pat: pat, Grid: grid}
-		be, err := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New()})
+		be, err := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New()})
 		if err != nil {
 			return false
 		}
@@ -305,7 +305,7 @@ func TestQuickCollectiveNaiveEquivalence(t *testing.T) {
 		op := Op{Dims: dims, Etype: 2, Pat: pat, Grid: grid}
 
 		write := func(naive bool) []byte {
-			be, err := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New()})
+			be, err := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New()})
 			if err != nil {
 				t.Fatal(err)
 			}

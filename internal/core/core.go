@@ -24,7 +24,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -730,55 +729,6 @@ func (d *Dataset) readIter(iter int, bufs [][]byte) error {
 	d.stats.Bytes += d.spec.Size()
 	d.mu.Unlock()
 	return nil
-}
-
-// Instances lists the iterations this dataset has stored instances
-// for, discovered from the storage resource (consumers that were not
-// told the producer's frequency use this).  Superfile datasets list
-// their container members; over_write datasets report iteration 0.
-func (d *Dataset) Instances(p *vtime.Proc) ([]int, error) {
-	if d.backend == nil {
-		return nil, fmt.Errorf("core: instances of DISABLEd dataset %q: %w", d.spec.Name, storage.ErrNotExist)
-	}
-	sess, err := d.run.session(d.backend)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	if d.spec.Opt == ioopt.Superfile {
-		c, err := d.roContainer(p, sess)
-		if err != nil {
-			return nil, err
-		}
-		names = c.Names()
-	} else {
-		if d.overwrite {
-			if _, err := sess.Stat(p, d.InstancePath(0)); err != nil {
-				return nil, err
-			}
-			return []int{0}, nil
-		}
-		infos, err := sess.List(p, d.BasePath()+"/")
-		if err != nil {
-			return nil, err
-		}
-		for _, fi := range infos {
-			names = append(names, fi.Path)
-		}
-	}
-	var iters []int
-	for _, name := range names {
-		var iter int
-		base := name
-		if i := strings.LastIndex(base, "/"); i >= 0 {
-			base = base[i+1:]
-		}
-		if _, err := fmt.Sscanf(base, "iter%06d", &iter); err == nil {
-			iters = append(iters, iter)
-		}
-	}
-	sort.Ints(iters)
-	return iters, nil
 }
 
 // ReadGlobal loads one iteration's whole global array with a single

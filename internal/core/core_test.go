@@ -474,39 +474,3 @@ func TestDueFrequency(t *testing.T) {
 		t.Fatalf("in-loop dumps = %d, want 20 (i %% 6 == 0 in [0,120))", dumps)
 	}
 }
-
-func TestInstancesDiscovery(t *testing.T) {
-	e := newEnv(t)
-	run, _ := e.sys.Initialize(RunConfig{ID: "r1", Iterations: 12, Procs: 2})
-	d, _ := run.OpenDataset(DatasetSpec{
-		Name: "temp", AMode: storage.ModeCreate,
-		Dims: []int{8, 8}, Etype: 4, Location: LocLocalDisk, Frequency: 6,
-	})
-	bufs := fillBufs(t, d, 1)
-	for iter := 0; iter <= 12; iter += 6 {
-		if err := d.WriteIter(iter, bufs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := e.sim.NewProc("viewer")
-	iters, err := d.Instances(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) != 3 || iters[0] != 0 || iters[2] != 12 {
-		t.Fatalf("Instances = %v", iters)
-	}
-
-	// over_write datasets report the single restart instance.
-	ck, _ := run.OpenDataset(DatasetSpec{
-		Name: "restart", AMode: storage.ModeOverWrite,
-		Dims: []int{8, 8}, Etype: 4, Location: LocLocalDisk, Frequency: 6,
-	})
-	if err := ck.WriteIter(6, bufs); err != nil {
-		t.Fatal(err)
-	}
-	ckIters, err := ck.Instances(p)
-	if err != nil || len(ckIters) != 1 || ckIters[0] != 0 {
-		t.Fatalf("checkpoint Instances = %v, %v", ckIters, err)
-	}
-}

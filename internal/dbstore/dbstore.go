@@ -26,12 +26,6 @@ const DefaultCapacity = 20 * 1000 * 1000 * 1000
 // Option adjusts the backend configuration.
 type Option func(*device.Config)
 
-// WithCapacity overrides the tablespace quota (<= 0 = unlimited).
-func WithCapacity(n int64) Option { return func(c *device.Config) { c.Capacity = n } }
-
-// WithParams overrides the cost model.
-func WithParams(p model.Params) Option { return func(c *device.Config) { c.Params = p } }
-
 // WithTrace attaches a native-call trace recorder.
 func WithTrace(r *trace.Recorder) Option { return func(c *device.Config) { c.Trace = r } }
 

@@ -132,7 +132,7 @@ func TestSeekTrackedPerProcess(t *testing.T) {
 }
 
 func TestDataRoundTripThroughBackend(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory(), Kind: storage.KindMemory})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}, Kind: storage.KindMemory})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)
@@ -154,7 +154,7 @@ func TestDataRoundTripThroughBackend(t *testing.T) {
 }
 
 func TestCreateExistingFails(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory()})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)
@@ -173,7 +173,7 @@ func TestCreateExistingFails(t *testing.T) {
 }
 
 func TestReadOnlyHandleRejectsWrite(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory()})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)
@@ -186,7 +186,7 @@ func TestReadOnlyHandleRejectsWrite(t *testing.T) {
 }
 
 func TestCapacityEnforced(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory(), Capacity: 100})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}, Capacity: 100})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)
@@ -207,7 +207,7 @@ func TestCapacityEnforced(t *testing.T) {
 }
 
 func TestOutage(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory()})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)
@@ -285,7 +285,7 @@ func TestSingleChannelSerializes(t *testing.T) {
 }
 
 func TestStatListRemove(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory()})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	for _, n := range []string{"d/one", "d/two"} {
@@ -310,7 +310,7 @@ func TestStatListRemove(t *testing.T) {
 }
 
 func TestClosedSessionAndHandle(t *testing.T) {
-	b := newBackend(t, Config{Params: model.Memory()})
+	b := newBackend(t, Config{Params: model.Params{Name: "memory"}})
 	p := vtime.NewVirtual().NewProc("p")
 	s, _ := b.Connect(p)
 	h, _ := s.Open(p, "f", storage.ModeCreate)

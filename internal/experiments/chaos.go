@@ -10,15 +10,11 @@ import (
 	"repro/internal/apps/mse"
 	"repro/internal/core"
 	"repro/internal/flaky"
-	"repro/internal/localdisk"
-	"repro/internal/memfs"
 	"repro/internal/metadb"
-	"repro/internal/model"
-	"repro/internal/remotedisk"
 	"repro/internal/resilient"
 	"repro/internal/stage"
 	"repro/internal/storage"
-	"repro/internal/tape"
+	"repro/internal/testbed"
 	"repro/internal/vtime"
 )
 
@@ -51,17 +47,13 @@ type ChaosRow struct {
 }
 
 // Chaos runs Astro3D with every dataset on a flaky remote disk wrapped
-// by the resilience layer, once per fault rate.  failEvery values are
-// faults-per-N-operations; 0 is the clean baseline and must come first
-// for overhead accounting.  With no values the default schedule
-// {0, 100, 20, 10} — 0 %, 1 %, 5 %, 10 % — is used.
-func Chaos(scale Scale, failEvery ...int64) ([]ChaosRow, error) {
-	if len(failEvery) == 0 {
-		failEvery = []int64{0, 100, 20, 10}
-	}
-	rows := make([]ChaosRow, 0, len(failEvery))
+// by the resilience layer, once per fault rate: one fault per N
+// operations for N = 100, 20, 10 (1 %, 5 %, 10 %) after the clean
+// baseline, which comes first for overhead accounting.
+func Chaos(scale Scale) ([]ChaosRow, error) {
+	var rows []ChaosRow
 	var baseline time.Duration
-	for _, n := range failEvery {
+	for _, n := range []int64{0, 100, 20, 10} {
 		row, err := chaosOne(scale, n)
 		if err != nil {
 			return rows, err
@@ -82,24 +74,16 @@ func Chaos(scale Scale, failEvery ...int64) ([]ChaosRow, error) {
 // Astro3D write workload through it.
 func chaosOne(scale Scale, n int64) (ChaosRow, error) {
 	sim := vtime.NewVirtual()
-	local, err := localdisk.New("argonne-ssa", memfs.New())
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	rdisk, err := remotedisk.New("sdsc-disk", memfs.New())
-	if err != nil {
-		return ChaosRow{}, err
-	}
-	rtape, err := tape.New(tape.Config{Name: "sdsc-hpss", Params: model.RemoteTape2000(), Store: memfs.New()})
+	res, err := testbed.New(testbed.Dir(""), nil)
 	if err != nil {
 		return ChaosRow{}, err
 	}
 	health := resilient.NewHealth(resilient.BreakerConfig{})
-	fb := flaky.Wrap(rdisk, flaky.Policy{FailEvery: n})
+	fb := flaky.Wrap(res.RDisk, flaky.Policy{FailEvery: n})
 	rb := resilient.Wrap(fb, resilient.WithHealth(health))
 	sys, err := core.NewSystem(core.SystemConfig{
 		Sim: sim, Meta: metadb.New(),
-		LocalDisk: local, RemoteDisk: rb, RemoteTape: rtape,
+		LocalDisk: res.Local, RemoteDisk: rb, RemoteTape: res.Tape,
 	})
 	if err != nil {
 		return ChaosRow{}, err
@@ -155,17 +139,14 @@ type ChaosStageRow struct {
 }
 
 // ChaosStage drives the MSE consumer twice through a staging engine
-// whose home resource drops one in n operations.  With no values the
-// default schedule {0, 5, 2} — 0 %, 20 %, 50 % — is used: staging
-// issues few home-tier operations (one whole-file copy per dump), so
-// the rates are harsher than the write-path chaos schedule to make
-// every faulty row actually exercise recovery.
-func ChaosStage(scale Scale, failEvery ...int64) ([]ChaosStageRow, error) {
-	if len(failEvery) == 0 {
-		failEvery = []int64{0, 5, 2}
-	}
-	rows := make([]ChaosStageRow, 0, len(failEvery))
-	for _, n := range failEvery {
+// whose home resource drops one in n operations, for n = 5 and 2
+// (20 %, 50 %) after a clean row: staging issues few home-tier
+// operations (one whole-file copy per dump), so the rates are harsher
+// than the write-path chaos schedule to make every faulty row actually
+// exercise recovery.
+func ChaosStage(scale Scale) ([]ChaosStageRow, error) {
+	var rows []ChaosStageRow
+	for _, n := range []int64{0, 5, 2} {
 		row, err := chaosStageOne(scale, n)
 		if err != nil {
 			return rows, err
@@ -177,14 +158,11 @@ func ChaosStage(scale Scale, failEvery ...int64) ([]ChaosStageRow, error) {
 
 func chaosStageOne(scale Scale, n int64) (ChaosStageRow, error) {
 	sim := vtime.NewVirtual()
-	local, err := localdisk.New("argonne-ssa", memfs.New())
+	res, err := testbed.New(testbed.Dir(""), nil)
 	if err != nil {
 		return ChaosStageRow{}, err
 	}
-	rdisk, err := remotedisk.New("sdsc-disk", memfs.New())
-	if err != nil {
-		return ChaosStageRow{}, err
-	}
+	local, rdisk := res.Local, res.RDisk
 	health := resilient.NewHealth(resilient.BreakerConfig{})
 	fb := flaky.Wrap(rdisk, flaky.Policy{}) // faults off while the producer writes
 	rb := resilient.Wrap(fb, resilient.WithHealth(health))
@@ -278,6 +256,31 @@ func chaosStageOne(scale Scale, n int64) (ChaosStageRow, error) {
 		}
 	}
 	return row, nil
+}
+
+// chaosHeadline flattens both chaos tables into the scalars the gate
+// reads: how many rows ran and completed, how many faults fired, and
+// how many staging rows left a corrupt cache copy behind.
+func chaosHeadline(rows []ChaosRow, srows []ChaosStageRow) map[string]float64 {
+	h := map[string]float64{
+		"rows": float64(len(rows)), "completed": 0, "injected": 0,
+		"stage_rows": float64(len(srows)), "stage_completed": 0, "corrupt": 0,
+	}
+	for _, r := range rows {
+		h["injected"] += float64(r.Injected)
+		if r.Completed {
+			h["completed"]++
+		}
+	}
+	for _, r := range srows {
+		if r.Completed {
+			h["stage_completed"]++
+		}
+		if r.Corrupt {
+			h["corrupt"]++
+		}
+	}
+	return h
 }
 
 // ChaosStageString renders the staging chaos table.

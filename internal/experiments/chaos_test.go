@@ -18,11 +18,11 @@ import (
 // at a 1 % injected transient fault rate the Astro3D run completes,
 // every fault is retried, and the virtual-time overhead stays bounded.
 func TestChaosCompletesWithBoundedOverhead(t *testing.T) {
-	rows, err := Chaos(TestScale(), 0, 100)
+	rows, err := Chaos(TestScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	base, faulty := rows[0], rows[1]

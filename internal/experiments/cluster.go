@@ -66,18 +66,29 @@ func (r ClusterResult) ShardedSpeedup() float64 {
 	return r.SingleBroker.Seconds() / r.Sharded.Seconds()
 }
 
-// ClusterOK is the acceptance gate: nothing acked is lost, survivor
-// replicas agree byte-for-byte, the fencing window was actually
-// exercised, the full admission budget survived the failover, and
-// sharding pays.
-func ClusterOK(r ClusterResult) bool {
-	return r.AckedMutations > 0 &&
-		r.LostAcked == 0 &&
-		r.DumpMismatches == 0 &&
-		r.FailoverRetries > 0 &&
-		r.SurvivorBudget == r.QueueBudget &&
-		r.ShardedSpeedup() >= 2
+// Headline flattens the result into the scalars clusterGate reads.
+func (r ClusterResult) Headline() map[string]float64 {
+	return map[string]float64{
+		"acked_mutations":       float64(r.AckedMutations),
+		"lost_acked":            float64(r.LostAcked),
+		"dump_mismatches":       float64(r.DumpMismatches),
+		"failover_retries":      float64(r.FailoverRetries),
+		"survivor_budget_bytes": float64(r.SurvivorBudget),
+		"queue_budget_bytes":    float64(r.QueueBudget),
+		"single_over_direct_x":  r.SingleOverDirect(),
+		"sharded_speedup_x":     r.ShardedSpeedup(),
+	}
 }
+
+// clusterGate is the acceptance gate: nothing acked is lost, survivor
+// replicas agree byte-for-byte, the fencing window was actually
+// exercised, the full admission budget survived the failover, the
+// degeneration leg ran, and sharding pays at least 2x.
+var clusterGate = gates(
+	want("acked_mutations", ">", 0), want("lost_acked", "==", 0), want("dump_mismatches", "==", 0),
+	want("failover_retries", ">", 0),
+	want("queue_budget_bytes", ">", 0), want("survivor_budget_bytes", "==", "queue_budget_bytes"),
+	want("single_over_direct_x", ">", 0), want("sharded_speedup_x", ">=", 2))
 
 // ClusterString renders the result for the report.
 func ClusterString(r ClusterResult) string {

@@ -50,8 +50,8 @@ func TestClusterExperiment(t *testing.T) {
 		t.Errorf("sharded speedup %.2fx below the 2x gate (single %v, sharded %v)",
 			x, res.SingleBroker, res.Sharded)
 	}
-	if !ClusterOK(res) {
-		t.Error("ClusterOK gate failed")
+	if err := clusterGate(res.Headline()); err != nil {
+		t.Errorf("cluster gate: %v", err)
 	}
 	out := ClusterString(res)
 	for _, want := range []string{"failover:", "budgets:", "degeneration:", "scale-out:"} {

@@ -58,16 +58,22 @@ func (r CrashRow) Violations() int {
 	return r.ReplayFailures + r.StateViolations + r.SnapshotViolations + r.ManifestViolations
 }
 
-// CrashOK reports whether every trial in every mode recovered to a
-// consistent state (and that the matrix actually crashed something).
-func CrashOK(rows []CrashRow) bool {
+// crashHeadline flattens the matrix into the scalars crashGate reads.
+func crashHeadline(rows []CrashRow) map[string]float64 {
+	h := map[string]float64{"points": 0, "fired": 0, "torn_tails": 0, "adopted": 0, "violations": 0}
 	for _, r := range rows {
-		if r.Violations() != 0 || r.Fired != r.Points {
-			return false
-		}
+		h["points"] += float64(r.Points)
+		h["fired"] += float64(r.Fired)
+		h["torn_tails"] += float64(r.TornTails)
+		h["adopted"] += float64(r.Adopted)
+		h["violations"] += float64(r.Violations())
 	}
-	return len(rows) > 0
+	return h
 }
+
+// crashGate: every trial in every mode recovered to a consistent state,
+// and the matrix actually crashed something at every armed point.
+var crashGate = gates(want("points", ">", 0), want("fired", "==", "points"), want("violations", "==", 0))
 
 // crashJournalDir is the journal directory on the injected filesystem.
 const crashJournalDir = "journal"
@@ -491,7 +497,7 @@ func CrashString(rows []CrashRow) string {
 			r.Mode, r.Points, r.Fired, r.Replays, r.TornTails, r.Adopted,
 			r.ReplayFailures, r.StateViolations, r.SnapshotViolations, r.ManifestViolations)
 	}
-	if CrashOK(rows) {
+	if crashGate(crashHeadline(rows)) == nil {
 		b.WriteString("all crash points recovered to a consistent state\n")
 	} else {
 		b.WriteString("RECOVERY INVARIANTS VIOLATED\n")

@@ -26,8 +26,8 @@ func TestCrashMatrixRecovers(t *testing.T) {
 			t.Errorf("%s: %d invariant violations:\n%s", r.Mode, v, CrashString(rows))
 		}
 	}
-	if !CrashOK(rows) {
-		t.Fatalf("CrashOK false:\n%s", CrashString(rows))
+	if err := crashGate(crashHeadline(rows)); err != nil {
+		t.Fatalf("crash gate: %v\n%s", err, CrashString(rows))
 	}
 	if s := CrashString(rows); !strings.Contains(s, "consistent state") {
 		t.Fatalf("CrashString verdict line missing:\n%s", s)

@@ -130,19 +130,6 @@ func newEnv(traced bool) (*Env, error) {
 	}, nil
 }
 
-// Names is the canonical list of experiment names, in report order.
-// cmd/benchreport derives its -exp flag help and validation from this
-// list (and a test keeps the command's doc comment in sync), so adding
-// an experiment here is the single registration step.
-func Names() []string {
-	return []string{
-		"table1", "table2",
-		"fig6", "fig7", "fig8", "fig9", "fig10a", "fig10b", "fig10c", "fig11",
-		"worked", "naive", "chaos", "staging", "calib", "qos", "failover",
-		"crash", "hsm", "workflow", "cluster",
-	}
-}
-
 // Scale selects the problem size of an experiment run.
 type Scale struct {
 	N       int // grid edge (the paper: 128)
@@ -297,40 +284,54 @@ type Fig10Row struct {
 	Predicted time.Duration
 }
 
-// Fig10a produces temp on each resource and measures the analysis.
-func Fig10a(scale Scale) ([]Fig10Row, error) {
+// fig10Produce runs Astro3D in a fresh environment with one dataset
+// placed at loc and everything else disabled, then idles the devices.
+func fig10Produce(scale Scale, dataset string, loc core.Location) (*Env, error) {
+	env, err := NewEnv()
+	if err != nil {
+		return nil, err
+	}
+	prm := scale.params()
+	prm.CheckpointFreq = 0
+	if dataset == "temp" {
+		prm.VizFreq = 0
+	} else {
+		prm.AnalysisFreq = 0
+	}
+	prm.Locations = map[string]core.Location{dataset: loc}
+	prm.DefaultLocation = core.LocDisable
+	if _, err := astro3d.Run(env.Sys, "prod", prm); err != nil {
+		return nil, err
+	}
+	env.ResetClocks()
+	return env, nil
+}
+
+// fig10Read produces dataset at slow then at fast and, for each, has
+// consume read every dump back and eq. (2) predict that read.
+func fig10Read(scale Scale, dataset string, etype int, slow, fast core.Location, fastName string,
+	consume func(*Env) (time.Duration, error)) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, cfg := range []struct {
 		name string
 		loc  core.Location
 	}{
-		{"read temp from remote tapes", core.LocRemoteTape},
-		{"read temp from remote disks", core.LocRemoteDisk},
+		{"read " + dataset + " from remote tapes", slow},
+		{"read " + dataset + " from " + fastName, fast},
 	} {
-		env, err := NewEnv()
+		env, err := fig10Produce(scale, dataset, cfg.loc)
 		if err != nil {
 			return rows, err
 		}
-		prm := scale.params()
-		prm.VizFreq, prm.CheckpointFreq = 0, 0
-		prm.Locations = map[string]core.Location{"temp": cfg.loc}
-		prm.DefaultLocation = core.LocDisable
-		if _, err := astro3d.Run(env.Sys, "prod", prm); err != nil {
-			return rows, err
-		}
-		env.ResetClocks()
-		res, err := mse.Run(env.Sys, "mse", mse.Params{
-			ProducerRun: "prod", Dataset: "temp",
-			Iterations: scale.MaxIter, Procs: scale.Procs,
-		})
+		ioTime, err := consume(env)
 		if err != nil {
 			return rows, err
 		}
 		pred, err := env.PDB.Predict(predict.RunReq{
 			Iterations: scale.MaxIter, Op: "read",
 			Datasets: []predict.DatasetReq{{
-				Name: "temp", AMode: "read",
-				Dims: []int{scale.N, scale.N, scale.N}, Etype: 4,
+				Name: dataset, AMode: "read",
+				Dims: []int{scale.N, scale.N, scale.N}, Etype: etype,
 				Pattern: "B**", Location: locResource(cfg.loc),
 				Frequency: scale.Freq, Procs: scale.Procs,
 			}},
@@ -338,57 +339,35 @@ func Fig10a(scale Scale) ([]Fig10Row, error) {
 		if err != nil {
 			return rows, err
 		}
-		rows = append(rows, Fig10Row{Config: cfg.name, Measured: res.IOTime, Predicted: pred.Total})
+		rows = append(rows, Fig10Row{Config: cfg.name, Measured: ioTime, Predicted: pred.Total})
 	}
 	return rows, nil
+}
+
+// Fig10a produces temp on each resource and measures the analysis.
+func Fig10a(scale Scale) ([]Fig10Row, error) {
+	return fig10Read(scale, "temp", 4, core.LocRemoteTape, core.LocRemoteDisk, "remote disks",
+		func(env *Env) (time.Duration, error) {
+			res, err := mse.Run(env.Sys, "mse", mse.Params{
+				ProducerRun: "prod", Dataset: "temp",
+				Iterations: scale.MaxIter, Procs: scale.Procs,
+			})
+			return res.IOTime, err
+		})
 }
 
 // Fig10b measures the visualization read path (Volren over vr_temp),
 // tape vs local disk — the paper's "10 times faster than from tapes".
 func Fig10b(scale Scale) ([]Fig10Row, error) {
-	var rows []Fig10Row
-	for _, cfg := range []struct {
-		name string
-		loc  core.Location
-	}{
-		{"read vr_temp from remote tapes", core.LocRemoteTape},
-		{"read vr_temp from local disks", core.LocLocalDisk},
-	} {
-		env, err := NewEnv()
-		if err != nil {
-			return rows, err
-		}
-		prm := scale.params()
-		prm.AnalysisFreq, prm.CheckpointFreq = 0, 0
-		prm.Locations = map[string]core.Location{"vr_temp": cfg.loc}
-		prm.DefaultLocation = core.LocDisable
-		if _, err := astro3d.Run(env.Sys, "prod", prm); err != nil {
-			return rows, err
-		}
-		env.ResetClocks()
-		res, err := volren.Run(env.Sys, "volren", volren.Params{
-			ProducerRun: "prod", Dataset: "vr_temp",
-			Iterations: scale.MaxIter, Procs: scale.Procs,
-			ImageLocation: core.LocDisable,
+	return fig10Read(scale, "vr_temp", 1, core.LocRemoteTape, core.LocLocalDisk, "local disks",
+		func(env *Env) (time.Duration, error) {
+			res, err := volren.Run(env.Sys, "volren", volren.Params{
+				ProducerRun: "prod", Dataset: "vr_temp",
+				Iterations: scale.MaxIter, Procs: scale.Procs,
+				ImageLocation: core.LocDisable,
+			})
+			return res.IOTime, err
 		})
-		if err != nil {
-			return rows, err
-		}
-		pred, err := env.PDB.Predict(predict.RunReq{
-			Iterations: scale.MaxIter, Op: "read",
-			Datasets: []predict.DatasetReq{{
-				Name: "vr_temp", AMode: "read",
-				Dims: []int{scale.N, scale.N, scale.N}, Etype: 1,
-				Pattern: "B**", Location: locResource(cfg.loc),
-				Frequency: scale.Freq, Procs: scale.Procs,
-			}},
-		})
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, Fig10Row{Config: cfg.name, Measured: res.IOTime, Predicted: pred.Total})
-	}
-	return rows, nil
 }
 
 // Fig10c measures superfile vs per-file access for the Volren images on
@@ -403,18 +382,10 @@ func Fig10c(scale Scale) ([]Fig10Row, error) {
 		{"image files accessed one by one", ioopt.Collective},
 		{"image files packed in a superfile", ioopt.Superfile},
 	} {
-		env, err := NewEnv()
+		env, err := fig10Produce(scale, "vr_temp", core.LocLocalDisk)
 		if err != nil {
 			return rows, err
 		}
-		prm := scale.params()
-		prm.AnalysisFreq, prm.CheckpointFreq = 0, 0
-		prm.Locations = map[string]core.Location{"vr_temp": core.LocLocalDisk}
-		prm.DefaultLocation = core.LocDisable
-		if _, err := astro3d.Run(env.Sys, "prod", prm); err != nil {
-			return rows, err
-		}
-		env.ResetClocks()
 		if _, err := volren.Run(env.Sys, "volren", volren.Params{
 			ProducerRun: "prod", Dataset: "vr_temp",
 			Iterations: scale.MaxIter, Procs: scale.Procs,
@@ -529,7 +500,6 @@ func WorkedExample(scale Scale) (predicted, measured time.Duration, err error) {
 type FailoverResult struct {
 	PlacedOn   string // resource class the AUTO dataset landed on
 	IOTime     time.Duration
-	TapeWasUp  bool
 	WriteError error // nil: the run survived the outage
 }
 

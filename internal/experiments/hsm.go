@@ -151,18 +151,36 @@ func (r HSMResult) CrashViolations() int {
 	return n
 }
 
-// HSMOK is the acceptance gate: equal correctness, a real mount and
-// hit-rate win, recalls inside the deadline bound, and a clean crash
-// matrix.
-func HSMOK(r HSMResult) bool {
-	return r.Mismatches == 0 &&
-		r.Migrations > 0 && r.GCPurged > 0 && r.Recalls > 0 &&
-		r.MountWin() > 1 &&
-		r.HSMHitRate > r.BaseHitRate &&
-		r.RecallP95 > 0 && r.RecallP95 <= r.RecallBound &&
-		r.CrashPoints() > 0 && r.CrashFired() == r.CrashPoints() &&
-		r.CrashViolations() == 0
+// Headline flattens the result into the scalars hsmGate reads.
+func (r HSMResult) Headline() map[string]float64 {
+	return map[string]float64{
+		"mount_win_x":             r.MountWin(),
+		"mounts_per_day_baseline": r.BaseMountsPerDay,
+		"mounts_per_day_hsm":      r.HSMMountsPerDay,
+		"hit_rate_baseline":       r.BaseHitRate,
+		"hit_rate_hsm":            r.HSMHitRate,
+		"recall_p95_s":            r.RecallP95.Seconds(),
+		"recall_bound_s":          r.RecallBound.Seconds(),
+		"migrations":              float64(r.Migrations),
+		"recalls":                 float64(r.Recalls),
+		"gc_purged":               float64(r.GCPurged),
+		"repacks":                 float64(r.Repacks),
+		"mismatches":              float64(r.Mismatches),
+		"crash_points":            float64(r.CrashPoints()),
+		"crash_violations":        float64(r.CrashViolations()),
+	}
 }
+
+// hsmGate is the acceptance gate: equal correctness, a real mount and
+// hit-rate win, a lifecycle that did every kind of work, recalls inside
+// the deadline bound, and a clean crash matrix.
+var hsmGate = gates(
+	want("mismatches", "==", 0),
+	want("migrations", ">", 0), want("recalls", ">", 0), want("gc_purged", ">", 0), want("repacks", ">", 0),
+	want("mount_win_x", ">", 1),
+	want("hit_rate_hsm", ">", "hit_rate_baseline"),
+	want("recall_p95_s", ">", 0), want("recall_p95_s", "<=", "recall_bound_s"),
+	want("crash_points", ">", 0), want("crash_violations", "==", 0))
 
 // hsmOp is one scheduled archive operation.
 type hsmOp struct {
@@ -485,6 +503,9 @@ func hsmCrashLeg(res *HSMResult, seed int64) error {
 		}
 		res.CrashRows = append(res.CrashRows, row)
 	}
+	if fired, points := res.CrashFired(), res.CrashPoints(); fired != points {
+		return fmt.Errorf("hsm: only %d of %d armed crashes fired", fired, points)
+	}
 	return nil
 }
 
@@ -642,7 +663,7 @@ func HSMString(r HSMResult) string {
 		fmt.Fprintf(&b, "%-14s %-7d %-6d %-8d %-10d %d\n",
 			row.Mode, row.Points, row.Fired, row.Replays, row.Recovered, row.Violations)
 	}
-	if HSMOK(r) {
+	if hsmGate(r.Headline()) == nil {
 		b.WriteString("hsm beats the static baseline at equal correctness; lifecycle state crash-safe\n")
 	} else {
 		b.WriteString("HSM ACCEPTANCE GATE FAILED\n")

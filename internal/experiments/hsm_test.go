@@ -36,8 +36,8 @@ func TestHSMBeatsBaseline(t *testing.T) {
 		t.Errorf("crash matrix: %d/%d fired, %d violations",
 			res.CrashFired(), res.CrashPoints(), res.CrashViolations())
 	}
-	if !HSMOK(res) {
-		t.Fatalf("HSMOK false:\n%s", HSMString(res))
+	if err := hsmGate(res.Headline()); err != nil {
+		t.Fatalf("hsm gate: %v\n%s", err, HSMString(res))
 	}
 	if s := HSMString(res); !strings.Contains(s, "crash-safe") {
 		t.Fatalf("HSMString verdict line missing:\n%s", s)

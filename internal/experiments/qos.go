@@ -21,14 +21,16 @@ import (
 
 // ------------------------------------------------------------------
 // QoS: the multi-tenant scheduler's two headline wins, each measured
-// against the FIFO ablation (same queue plumbing, no fairness, no
-// batching).
+// against an arrival-order baseline through the same scheduler: one
+// account has one DRR flow, and a flow is served in arrival order; no
+// tape library means no batch lane.
 //
 // Fair-share isolation: a greedy tenant keeps the single remote-disk
 // channel saturated with bulk writes while an interactive tenant
 // issues small reads — the paper's viewer-next-to-Astro3D scenario.
-// Under FIFO every interactive read waits behind the greedy backlog;
-// under predictor-priced DRR the interactive tenant's high weight lets
+// Sharing the greedy account, every interactive read waits behind the
+// greedy backlog (the "fifo" columns); under its own account the
+// predictor-priced DRR and the interactive tenant's high weight let
 // each read overtake the queue, so its p95 latency collapses to one
 // residual greedy transfer.  Latency is virtual time: the sim runs in
 // scaled mode so grant order controls device acquisition order exactly
@@ -36,7 +38,7 @@ import (
 //
 // Tape batching: 24 archived files striped over ~6 cartridges are
 // re-read in a deterministically shuffled order by 24 concurrent
-// requests.  FIFO replays the shuffle and thrashes the 2-drive
+// requests.  Arrival order replays the shuffle and thrashes the 2-drive
 // library's mounts; the batch lane groups queued reads by cartridge
 // and orders them by tape position, so the robot mounts each cartridge
 // about once.
@@ -48,14 +50,14 @@ type QoSResult struct {
 	GreedyBytes      int           // bytes per greedy write
 	InteractiveOps   int           // measured interactive reads
 	InteractiveBytes int           // bytes per interactive read
-	FIFOP95          time.Duration // interactive p95, FIFO ablation
+	FIFOP95          time.Duration // interactive p95, sharing the greedy account
 	QoSP95           time.Duration // interactive p95, DRR scheduler
 
 	// Tape batching part.
 	TapeFiles     int   // archived files re-read
 	TapeFileBytes int   // bytes per file
 	Cartridges    int   // cartridges holding them
-	FIFOMounts    int64 // robot mounts for the re-read, FIFO ablation
+	FIFOMounts    int64 // robot mounts for the re-read, no batch lane
 	BatchMounts   int64 // robot mounts for the re-read, batch lane
 	Batches       int64 // batches the lane formed
 	Batched       int64 // requests served through batches
@@ -77,10 +79,23 @@ func (r QoSResult) MountWin() float64 {
 	return float64(r.FIFOMounts) / float64(r.BatchMounts)
 }
 
-// QoS runs both parts, each once with the FIFO ablation and once with
-// the scheduler proper, in fresh environments.  scale is accepted for
-// registry uniformity; the workload is fixed-size (it measures the
-// scheduler, not the solver).
+// Headline flattens the result into the scalars the gate reads.
+func (r QoSResult) Headline() map[string]float64 {
+	return map[string]float64{
+		"isolation_x":  r.Isolation(),
+		"fifo_p95_s":   r.FIFOP95.Seconds(),
+		"qos_p95_s":    r.QoSP95.Seconds(),
+		"fifo_mounts":  float64(r.FIFOMounts),
+		"batch_mounts": float64(r.BatchMounts),
+		"mount_win_x":  r.MountWin(),
+		"batches":      float64(r.Batches),
+	}
+}
+
+// QoS runs both parts, each once as the arrival-order baseline and once
+// with the scheduler's policy reachable, in fresh environments.  scale
+// is accepted for table uniformity; the workload is fixed-size (it
+// measures the scheduler, not the solver).
 func QoS(scale Scale) (QoSResult, error) {
 	res := QoSResult{
 		Feeders: 24, GreedyBytes: 512 << 10,
@@ -96,27 +111,29 @@ func QoS(scale Scale) (QoSResult, error) {
 	}
 	pricer := qos.PredictPricer(env.PDB)
 
-	if res.FIFOP95, err = qosFairnessRun(res, pricer, true); err != nil {
+	if res.FIFOP95, err = qosFairnessRun(res, pricer, "greedy"); err != nil {
 		return res, err
 	}
-	if res.QoSP95, err = qosFairnessRun(res, pricer, false); err != nil {
+	if res.QoSP95, err = qosFairnessRun(res, pricer, "inter"); err != nil {
 		return res, err
 	}
 
-	if res.FIFOMounts, _, _, err = qosTapeRun(res, true); err != nil {
+	if res.FIFOMounts, _, _, err = qosTapeRun(res, false); err != nil {
 		return res, err
 	}
 	var st qos.Stats
-	if res.BatchMounts, res.Cartridges, st, err = qosTapeRun(res, false); err != nil {
+	if res.BatchMounts, res.Cartridges, st, err = qosTapeRun(res, true); err != nil {
 		return res, err
 	}
 	res.Batches, res.Batched = st.Batches, st.Batched
 	return res, nil
 }
 
-// qosFairnessRun measures the interactive tenant's p95 read latency
-// (virtual time) under a saturating greedy co-tenant.
-func qosFairnessRun(res QoSResult, pricer qos.Pricer, fifo bool) (time.Duration, error) {
+// qosFairnessRun measures the interactive client's p95 read latency
+// (virtual time) beside a saturating greedy client.  The interactive
+// client logs in as interUser: "inter" is its own weight-8 tenant,
+// "greedy" puts its reads in the greedy flow's arrival order.
+func qosFairnessRun(res QoSResult, pricer qos.Pricer, interUser string) (time.Duration, error) {
 	// 1 virtual second = 1 wall millisecond: a 512 KiB remote write
 	// (~2 s virtual) occupies the channel for ~2 ms of real time —
 	// large against RPC transit and goroutine scheduling even under
@@ -141,7 +158,6 @@ func qosFairnessRun(res QoSResult, pricer qos.Pricer, fifo bool) (time.Duration,
 		Tenants:     map[string]int{"inter": 8, "greedy": 1},
 		MaxInFlight: 1,
 		Price:       pricer,
-		FIFO:        fifo,
 	})
 	if err != nil {
 		return 0, err
@@ -156,7 +172,7 @@ func qosFairnessRun(res QoSResult, pricer qos.Pricer, fifo bool) (time.Duration,
 
 	gClient := srbnet.NewClient(srv.Addr(), "greedy", "pw", "sdsc-disk", storage.KindRemoteDisk)
 	defer gClient.Close()
-	iClient := srbnet.NewClient(srv.Addr(), "inter", "pw", "sdsc-disk", storage.KindRemoteDisk)
+	iClient := srbnet.NewClient(srv.Addr(), interUser, "pw", "sdsc-disk", storage.KindRemoteDisk)
 	defer iClient.Close()
 
 	// Interactive setup happens before the flood: create the small
@@ -265,8 +281,9 @@ func qosTapeOrder(n int) []int {
 
 // qosTapeRun archives the files, then re-reads them concurrently in
 // the shuffled order and reports the robot mounts charged to the
-// re-read, the cartridge count, and the batches formed.
-func qosTapeRun(res QoSResult, fifo bool) (mounts int64, carts int, st qos.Stats, err error) {
+// re-read, the cartridge count, and the batches formed.  Only with
+// lane set does the scheduler see the library, and so have a batch lane.
+func qosTapeRun(res QoSResult, lane bool) (mounts int64, carts int, st qos.Stats, err error) {
 	sim := vtime.NewScaled(1e-4)
 	broker := srb.NewBroker()
 	lib, err := tape.New(tape.Config{
@@ -280,11 +297,11 @@ func qosTapeRun(res QoSResult, fifo bool) (mounts int64, carts int, st qos.Stats
 		return 0, 0, qos.Stats{}, err
 	}
 	broker.AddUser("viewer", "pw")
-	sched, err := qos.New(qos.Config{
-		MaxInFlight: 1,
-		Tape:        lib,
-		FIFO:        fifo,
-	})
+	cfg := qos.Config{MaxInFlight: 1}
+	if lane {
+		cfg.Tape = lib
+	}
+	sched, err := qos.New(cfg)
 	if err != nil {
 		return 0, 0, qos.Stats{}, err
 	}

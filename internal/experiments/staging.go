@@ -157,6 +157,22 @@ func stagingOne(scale Scale, staged bool) (StagingRow, error) {
 	return row, nil
 }
 
+// stagingHeadline flattens the direct and staged rows into the scalars
+// the gate reads.
+func stagingHeadline(rows []StagingRow) map[string]float64 {
+	h := map[string]float64{}
+	for _, r := range rows {
+		if r.Staged {
+			h["staged_pass2_s"] = r.Pass2.Seconds()
+			h["hit_rate"] = r.HitRate
+			h["staged_in"] = float64(r.StagedIn)
+		} else {
+			h["direct_pass2_s"] = r.Pass2.Seconds()
+		}
+	}
+	return h
+}
+
 // StagingString renders the staging experiment.
 func StagingString(rows []StagingRow) string {
 	var b strings.Builder

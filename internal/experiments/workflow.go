@@ -106,13 +106,44 @@ func (r WorkflowResult) MinSpeedup() float64 {
 	return min
 }
 
-// WorkflowOK is the acceptance gate: predictions within ±15% of the
-// composed measurement at ≥3 overlap levels in both legs, and the
-// provisioned run strictly faster than the unprovisioned baseline at
-// every level.
-func WorkflowOK(r WorkflowResult) bool {
-	return len(r.Overlaps) >= 3 && r.MaxErr() <= 0.15 && r.MinSpeedup() > 1
+// Headline flattens the result into the scalars workflowGate reads,
+// with the composed makespans of both legs at every overlap level.
+func (r WorkflowResult) Headline() map[string]float64 {
+	h := map[string]float64{
+		"overlap_levels": float64(len(r.Overlaps)),
+		"max_err":        r.MaxErr(),
+		"min_speedup":    r.MinSpeedup(),
+		"prefetch_items": float64(r.PrefetchItems),
+		"placements":     float64(len(r.Placements)),
+		"cache_hit_rate": r.Stats.HitRate(),
+		"prefetch_p95_s": r.PrefetchP95.Seconds(),
+	}
+	for _, row := range r.Overlaps {
+		k := fmt.Sprintf("o%02.0f", 100*row.Overlap)
+		h["makespan_"+k+"_s"] = row.Measured.Seconds()
+		h["makespan_prov_"+k+"_s"] = row.ProvMeasured.Seconds()
+	}
+	return h
 }
+
+// workflowGate is the acceptance gate: predictions within ±15% of the
+// composed measurement at ≥3 overlap levels in both legs, a plan that
+// placed, prefetched and hit, and the provisioned run strictly faster
+// than the unprovisioned baseline at every level.
+var workflowGate = gates(
+	want("overlap_levels", ">=", 3), want("max_err", "<=", 0.15), want("min_speedup", ">", 1),
+	want("prefetch_items", ">", 0), want("placements", ">", 0), want("cache_hit_rate", ">", 0.9),
+	func(h map[string]float64) error {
+		for k, v := range h {
+			if !strings.HasPrefix(k, "makespan_o") {
+				continue
+			}
+			if prov := h["makespan_prov_"+strings.TrimPrefix(k, "makespan_")]; !(prov > 0 && prov < v) {
+				return fmt.Errorf("provisioned makespan %g s not under unprovisioned %g s (%s)", prov, v, k)
+			}
+		}
+		return nil
+	})
 
 // workflowLoc maps a provisioning class to a placement hint.
 func workflowLoc(class string, def core.Location) core.Location {
@@ -276,9 +307,6 @@ func runWorkflowStages(env *Env, scale Scale, plan *workflow.Plan) (map[string]t
 	return dur, st, nil
 }
 
-// WorkflowOverlaps is the overlap grid of the experiment.
-func WorkflowOverlaps() []float64 { return []float64{0, 0.5, 1} }
-
 // Workflow runs the chain unprovisioned and provisioned in fresh
 // environments and composes predicted and measured makespans at each
 // overlap level.
@@ -334,7 +362,7 @@ func Workflow(scale Scale) (WorkflowResult, error) {
 		row.ProvMeasured = provDur[s.Name]
 		out.Stages = append(out.Stages, row)
 	}
-	for _, overlap := range WorkflowOverlaps() {
+	for _, overlap := range []float64{0, 0.5, 1} {
 		mb, err := g.Compose(baseDur, overlap)
 		if err != nil {
 			return out, err
@@ -396,6 +424,6 @@ func WorkflowString(r WorkflowResult) string {
 	fmt.Fprintf(&b, "cache: %d hits / %d misses (%.0f%%), %d staged in, %d B moved\n",
 		r.Stats.Hits, r.Stats.Misses, 100*r.Stats.HitRate(), r.Stats.StagedIn, r.Stats.BytesMoved())
 	fmt.Fprintf(&b, "worst prediction error %.1f%%, min provisioning speedup %.2fx, gate %v\n",
-		100*r.MaxErr(), r.MinSpeedup(), WorkflowOK(r))
+		100*r.MaxErr(), r.MinSpeedup(), workflowGate(r.Headline()) == nil)
 	return b.String()
 }

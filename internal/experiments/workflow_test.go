@@ -34,7 +34,7 @@ func TestWorkflowExperiment(t *testing.T) {
 	if r.Stats.Hits == 0 {
 		t.Error("stage cache saw no hits in the provisioned leg")
 	}
-	if !WorkflowOK(r) {
-		t.Error("WorkflowOK gate failed")
+	if err := workflowGate(r.Headline()); err != nil {
+		t.Errorf("workflow gate: %v", err)
 	}
 }

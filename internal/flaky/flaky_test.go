@@ -9,8 +9,6 @@ import (
 	"repro/internal/localdisk"
 	"repro/internal/memfs"
 	"repro/internal/metadb"
-	"repro/internal/remotedisk"
-	"repro/internal/replica"
 	"repro/internal/storage"
 	"repro/internal/vtime"
 )
@@ -106,47 +104,6 @@ func TestRunSurfacesMidRunFault(t *testing.T) {
 	}
 	if !errors.Is(err, storage.ErrDown) {
 		t.Fatalf("fault surfaced as %v", err)
-	}
-}
-
-// TestReplicaMasksFlakyMember: replication over a flaky member and a
-// healthy one keeps reads flowing.
-func TestReplicaMasksFlakyMember(t *testing.T) {
-	healthy, err := remotedisk.New("stable", memfs.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unstable := Wrap(inner(t), Policy{FailEvery: 1, Ops: []string{"read"}})
-	mirror, err := replica.New("m", unstable, healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := vtime.NewVirtual().NewProc("p")
-	sess, err := mirror.Connect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sess.Open(p, "f", storage.ModeCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.WriteAt(p, []byte("ok"), 0); err != nil {
-		t.Fatal(err)
-	}
-	h.Close(p)
-	r, err := sess.Open(p, "f", storage.ModeRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 2)
-	if _, err := r.ReadAt(p, buf, 0); err != nil {
-		t.Fatalf("replica did not mask flaky reads: %v", err)
-	}
-	if string(buf) != "ok" {
-		t.Fatalf("read %q", buf)
-	}
-	if unstable.Injected() == 0 {
-		t.Fatal("flaky member never exercised")
 	}
 }
 

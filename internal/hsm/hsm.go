@@ -80,8 +80,6 @@ type Config struct {
 	// PoolCapacity is the byte capacity the watermarks divide
 	// (required, positive).
 	PoolCapacity int64
-	// RecallBudget caps the recall cache (default PoolCapacity/4).
-	RecallBudget int64
 	// PDB, when set, prices the GC benefit-per-byte scoring and the
 	// recall staging decision; nil falls back to LRU and tier ranking.
 	PDB *predict.DB
@@ -174,15 +172,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PoolCapacity <= 0 {
 		return nil, fmt.Errorf("hsm: Config.PoolCapacity must be positive")
 	}
-	if cfg.RecallBudget < 0 {
-		return nil, fmt.Errorf("hsm: negative recall budget")
-	}
-	if cfg.RecallBudget == 0 {
-		cfg.RecallBudget = cfg.PoolCapacity / 4
-	}
-	if cfg.RecallBudget > cfg.PoolCapacity {
-		cfg.RecallBudget = cfg.PoolCapacity
-	}
 	if cfg.Tenant == "" {
 		cfg.Tenant = "hsm"
 	}
@@ -194,7 +183,7 @@ func New(cfg Config) (*Engine, error) {
 	// cools again, so the recall cache assumes a deep residual-read
 	// count — staging in is almost always worth one tape read.
 	mgr, err := stage.New(stage.Config{
-		Sim: cfg.Sim, Cache: cfg.Pool, Budget: cfg.RecallBudget,
+		Sim: cfg.Sim, Cache: cfg.Pool, Budget: cfg.PoolCapacity / 4,
 		PDB: cfg.PDB, Trace: cfg.Trace, ExpectedReads: 64,
 	})
 	if err != nil {
@@ -255,6 +244,9 @@ func (e *Engine) tapeSession(p *vtime.Proc) (storage.Session, error) {
 	return e.tapeSess, nil
 }
 
+// pin marks a dataset in-use: pinned datasets are skipped by migration
+// sweeps and GC victim selection until unpin.  Pins nest.  Read pins its
+// dataset for the duration of the access.
 func (e *Engine) pin(path string) {
 	e.mu.Lock()
 	e.pins[path]++
@@ -270,14 +262,6 @@ func (e *Engine) unpin(path string) {
 	}
 	e.mu.Unlock()
 }
-
-// Pin marks a dataset in-use: pinned datasets are skipped by
-// migration sweeps and GC victim selection until Unpin.  Pins nest.
-// Read pins its dataset for the duration of the access automatically.
-func (e *Engine) Pin(path string) { e.pin(path) }
-
-// Unpin releases one Pin.
-func (e *Engine) Unpin(path string) { e.unpin(path) }
 
 func (e *Engine) pinned(path string) bool {
 	e.mu.Lock()
@@ -837,16 +821,6 @@ func (e *Engine) Recover() (int, error) {
 	}
 	return fixed, nil
 }
-
-// RecallLatencies returns a copy of the recorded recall latencies.
-func (e *Engine) RecallLatencies() []time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]time.Duration(nil), e.recallLat...)
-}
-
-// StageStats exposes the recall cache's staging counters.
-func (e *Engine) StageStats() stage.Stats { return e.stage.Stats() }
 
 // Stats snapshots the engine's counters plus a state census.
 func (e *Engine) Stats() Stats {

@@ -197,7 +197,7 @@ func TestRecallRoundTrip(t *testing.T) {
 	if s := e.state(t, "x"); s != StateMigrated {
 		t.Fatalf("state after recall = %s, want migrated", s)
 	}
-	if lat := e.eng.RecallLatencies(); len(lat) != 1 || lat[0] <= 0 {
+	if lat := e.eng.recallLat; len(lat) != 1 || lat[0] <= 0 {
 		t.Fatalf("recall latency not recorded: %v", lat)
 	}
 
@@ -291,7 +291,7 @@ func TestGCAllPinnedStalls(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		path := fmt.Sprintf("p%d", i)
 		e.seed(t, path, StateResident, pat(300, byte(i)), 0)
-		e.eng.Pin(path)
+		e.eng.pin(path)
 	}
 	e.p.Advance(2 * time.Hour) // cold, but pinned
 	if err := e.eng.Tick(e.p); err != nil {
@@ -311,7 +311,7 @@ func TestGCAllPinnedStalls(t *testing.T) {
 	}
 	// Unpinning lets the next sweep make progress again.
 	for i := 0; i < 3; i++ {
-		e.eng.Unpin(fmt.Sprintf("p%d", i))
+		e.eng.unpin(fmt.Sprintf("p%d", i))
 	}
 	if err := e.eng.Tick(e.p); err != nil {
 		t.Fatal(err)
@@ -449,8 +449,8 @@ func TestRemoveDropsAllCopiesAndDrivesRepack(t *testing.T) {
 		t.Fatalf("wasted = %d after repack", wasted)
 	}
 	// The surviving tape copy moved cartridges but stays correct.
-	e.eng.Pin("keep") // keep the disk copy out of GC's way
-	defer e.eng.Unpin("keep")
+	e.eng.pin("keep") // keep the disk copy out of GC's way
+	defer e.eng.unpin("keep")
 	if got := e.read(t, "keep"); !bytes.Equal(got, keep) {
 		t.Fatal("survivor corrupted by repack")
 	}

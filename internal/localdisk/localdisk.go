@@ -20,17 +20,8 @@ const SSACapacity = 4 * 9 * 1000 * 1000 * 1000
 // Option adjusts the backend configuration.
 type Option func(*device.Config)
 
-// WithCapacity overrides the capacity limit in bytes (<= 0 = unlimited).
-func WithCapacity(n int64) Option { return func(c *device.Config) { c.Capacity = n } }
-
-// WithChannels overrides the number of parallel disk channels.
-func WithChannels(n int) Option { return func(c *device.Config) { c.Channels = n } }
-
 // WithTrace attaches a native-call trace recorder.
 func WithTrace(r *trace.Recorder) Option { return func(c *device.Config) { c.Trace = r } }
-
-// WithParams overrides the cost model.
-func WithParams(p model.Params) Option { return func(c *device.Config) { c.Params = p } }
 
 // New returns a local-disk backend over the given byte store (osfs for a
 // real directory, memfs for hermetic benchmarks).

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/memfs"
 	"repro/internal/model"
 	"repro/internal/osfs"
@@ -29,8 +30,9 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	p := model.Memory()
-	b, err := New("x", memfs.New(), WithCapacity(123), WithChannels(2), WithParams(p))
+	b, err := New("x", memfs.New(), func(c *device.Config) {
+		c.Capacity, c.Channels, c.Params = 123, 2, model.Params{Name: "memory"}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

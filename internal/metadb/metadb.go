@@ -234,21 +234,6 @@ func (db *DB) GetDataset(p *vtime.Proc, runID, name string) (Dataset, error) {
 	return d, nil
 }
 
-// DatasetsForRun returns a run's dataset rows sorted by name.
-func (db *DB) DatasetsForRun(p *vtime.Proc, runID string) []Dataset {
-	db.charge(p, model.Read)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var out []Dataset
-	for _, d := range db.datasets {
-		if d.RunID == runID {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // QueryDatasets returns all dataset rows matching the predicate, sorted
 // by (run, name).
 func (db *DB) QueryDatasets(p *vtime.Proc, match func(Dataset) bool) []Dataset {

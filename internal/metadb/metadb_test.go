@@ -66,9 +66,9 @@ func TestDatasetsForRunAndQuery(t *testing.T) {
 		db.PutDataset(nil, Dataset{RunID: "r1", Name: name, Location: "SDSCHPSS"})
 	}
 	db.PutDataset(nil, Dataset{RunID: "r2", Name: "temp", Location: "LOCALDISK"})
-	ds := db.DatasetsForRun(nil, "r1")
+	ds := db.QueryDatasets(nil, func(d Dataset) bool { return d.RunID == "r1" })
 	if len(ds) != 3 || ds[0].Name != "press" {
-		t.Fatalf("DatasetsForRun = %v", ds)
+		t.Fatalf("QueryDatasets by run = %v", ds)
 	}
 	q := db.QueryDatasets(nil, func(d Dataset) bool { return d.Location == "LOCALDISK" })
 	if len(q) != 1 || q[0].RunID != "r2" {

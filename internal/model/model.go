@@ -239,7 +239,3 @@ func MetaDB2000() Params {
 		PerCallWrite: 3 * time.Millisecond,
 	}
 }
-
-// Memory is a free cost model used by unit tests that only care about
-// data movement, not timing.
-func Memory() Params { return Params{Name: "memory"} }

@@ -17,7 +17,7 @@ func TestOpString(t *testing.T) {
 }
 
 func TestXferZeroBandwidthIsFree(t *testing.T) {
-	p := Memory()
+	p := Params{Name: "memory"}
 	if d := p.Xfer(Write, 10*MiB); d != 0 {
 		t.Fatalf("memory transfer cost = %v, want 0", d)
 	}

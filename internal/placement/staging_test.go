@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/localdisk"
 	"repro/internal/memfs"
 	"repro/internal/metadb"
@@ -25,7 +26,7 @@ import (
 func stagingFixture(t *testing.T, localCap, budget int64, extra func(*predict.DB, *stage.Manager) []Option) (*fixture, *stage.Manager) {
 	t.Helper()
 	sim := vtime.NewVirtual()
-	local, err := localdisk.New("ssa", memfs.New(), localdisk.WithCapacity(localCap))
+	local, err := localdisk.New("ssa", memfs.New(), func(c *device.Config) { c.Capacity = localCap })
 	if err != nil {
 		t.Fatal(err)
 	}

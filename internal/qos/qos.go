@@ -26,10 +26,6 @@
 //   - full observability: every queue decision is recorded through
 //     internal/trace, and Stats() feeds the msra_qos_* Prometheus
 //     families in webui.
-//
-// Config.FIFO disables the fairness and batching logic while keeping
-// the same queue plumbing — the ablation baseline the experiments
-// compare against.
 package qos
 
 import (
@@ -49,7 +45,7 @@ import (
 // Request describes one unit of schedulable work.
 type Request struct {
 	// Tenant is the accountable principal (the srbnet user).  Unknown
-	// tenants are admitted at Config.DefaultWeight.
+	// tenants are admitted at defaultWeight.
 	Tenant string
 	// Backend and Class identify the resource the work runs against;
 	// Class is the storage.Kind string ("remotetape", ...) used for
@@ -80,10 +76,8 @@ type TapeInfo interface {
 // Config parameterizes a Scheduler.
 type Config struct {
 	// Tenants maps tenant name to DRR weight (service share ratio).
-	// Tenants absent from the map get DefaultWeight.
+	// Tenants absent from the map get defaultWeight.
 	Tenants map[string]int
-	// DefaultWeight is the weight for unlisted tenants (default 1).
-	DefaultWeight int
 	// MaxInFlight bounds concurrently executing requests (default 4).
 	MaxInFlight int
 	// MaxQueuedBytes bounds the bytes queued across all tenants; 0
@@ -93,39 +87,33 @@ type Config struct {
 	MaxQueuedBytes int64
 	// TenantQueuedBytes bounds one tenant's queued bytes; 0 unlimited.
 	TenantQueuedBytes int64
-	// Quantum is the DRR deficit added per round per unit weight, in
-	// priced seconds (default 0.1).  Fairness ratios depend only on
-	// the weights; the quantum sets burst granularity.
-	Quantum float64
 	// Price converts requests to cost (default DefaultPricer).
 	Price Pricer
 	// Tape, when non-nil, enables the cartridge batch lane for reads
 	// and writes whose Class is "remotetape".
 	Tape TapeInfo
-	// MaxBatch caps one cartridge batch (default 32).
-	MaxBatch int
-	// FIFO disables fairness and batching: strict arrival order with
-	// the same admission control — the ablation baseline.
-	FIFO bool
 	// Trace, when non-nil, records every queue decision.
 	Trace *trace.Recorder
 }
 
+const (
+	// defaultWeight is the DRR weight of a tenant absent from
+	// Config.Tenants.
+	defaultWeight = 1
+	// quantum is the DRR deficit added per round per unit weight, in
+	// priced seconds.  Fairness ratios depend only on the weights; the
+	// quantum sets burst granularity.
+	quantum = 0.1
+	// maxBatch caps one cartridge batch.
+	maxBatch = 32
+)
+
 func (c Config) withDefaults() Config {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4
 	}
-	if c.Quantum <= 0 {
-		c.Quantum = 0.1
-	}
 	if c.Price == nil {
 		c.Price = DefaultPricer
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
 	}
 	return c
 }
@@ -187,7 +175,6 @@ type Scheduler struct {
 	tenants  map[string]*tenantQ
 	ring     []string // tenant names in creation order (DRR rotation)
 	cursor   int
-	fifo     []*waiter // arrival order, FIFO mode only
 	inflight int
 
 	queuedBytes int64
@@ -265,7 +252,7 @@ func (s *Scheduler) tenantLocked(name string) *tenantQ {
 	}
 	w, ok := s.cfg.Tenants[name]
 	if !ok {
-		w = s.cfg.DefaultWeight
+		w = defaultWeight
 	}
 	t := &tenantQ{name: name, weight: w}
 	t.stats.Tenant = name
@@ -297,11 +284,7 @@ func (s *Scheduler) enqueue(req Request) (*waiter, error) {
 		return nil, s.overloadLocked(t, t.queuedBytes)
 	}
 	w := &waiter{req: req, cost: cost, tenant: t, grant: make(chan struct{}), enq: time.Now()}
-	if s.cfg.FIFO {
-		s.fifo = append(s.fifo, w)
-	} else {
-		t.q = append(t.q, w)
-	}
+	t.q = append(t.q, w)
 	s.queuedBytes += req.Bytes
 	s.queuedCount++
 	s.queuedCost += cost
@@ -357,8 +340,8 @@ func (s *Scheduler) grantLocked() {
 }
 
 // nextLocked picks the next request: the in-flight tape batch first
-// (re-validated against the library generation), then strict arrival
-// order in FIFO mode, else deficit round robin.
+// (re-validated against the library generation), then deficit round
+// robin.
 func (s *Scheduler) nextLocked() *waiter {
 	for len(s.batch) > 0 {
 		if s.cfg.Tape != nil && s.cfg.Tape.Generation() != s.batchGen {
@@ -367,14 +350,6 @@ func (s *Scheduler) nextLocked() *waiter {
 		}
 		w := s.batch[0]
 		s.batch = s.batch[1:]
-		return w
-	}
-	if s.cfg.FIFO {
-		if len(s.fifo) == 0 {
-			return nil
-		}
-		w := s.fifo[0]
-		s.fifo = s.fifo[1:]
 		return w
 	}
 	return s.drrLocked()
@@ -423,7 +398,7 @@ func (s *Scheduler) drrLocked() *waiter {
 			if len(t.q) == 0 {
 				continue
 			}
-			k := math.Ceil((t.q[0].cost - t.deficit) / (s.cfg.Quantum * float64(t.weight)))
+			k := math.Ceil((t.q[0].cost - t.deficit) / (quantum * float64(t.weight)))
 			if k < 1 {
 				k = 1
 			}
@@ -434,7 +409,7 @@ func (s *Scheduler) drrLocked() *waiter {
 		for _, name := range s.ring {
 			t := s.tenants[name]
 			if len(t.q) > 0 {
-				t.deficit += rounds * s.cfg.Quantum * float64(t.weight)
+				t.deficit += rounds * quantum * float64(t.weight)
 			}
 		}
 	}
@@ -465,7 +440,7 @@ func (s *Scheduler) maybeWriteBatchLocked(w *waiter) *waiter {
 	cands := []*waiter{w}
 	for _, name := range s.ring {
 		for _, x := range s.tenants[name].q {
-			if tapeWrite(x) && len(cands) < s.cfg.MaxBatch {
+			if tapeWrite(x) && len(cands) < maxBatch {
 				cands = append(cands, x)
 			}
 		}
@@ -511,7 +486,7 @@ func (s *Scheduler) maybeWriteBatchLocked(w *waiter) *waiter {
 
 // maybeBatchLocked tries to grow the DRR winner w into a cartridge
 // batch: every queued tape read on w's cartridge (across all tenants,
-// up to MaxBatch) is pulled out of its queue, charged to its tenant's
+// up to maxBatch) is pulled out of its queue, charged to its tenant's
 // deficit — members may drive a deficit negative, which is exactly how
 // DRR repays the advance over later rounds — and the members are
 // ordered by tape position so the drive winds monotonically.  Returns
@@ -551,7 +526,7 @@ func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
 		off int64
 	}
 	batch := []member{{w, placements[0].Off}}
-	for i := 1; i < len(cands) && len(batch) < s.cfg.MaxBatch; i++ {
+	for i := 1; i < len(cands) && len(batch) < maxBatch; i++ {
 		if placements[i].OK && placements[i].Cart == cart {
 			batch = append(batch, member{cands[i], placements[i].Off})
 		}
@@ -684,10 +659,6 @@ func (s *Scheduler) Close() {
 		fail(w)
 	}
 	s.batch = nil
-	for _, w := range s.fifo {
-		fail(w)
-	}
-	s.fifo = nil
 	for _, t := range s.tenants {
 		for _, w := range t.q {
 			fail(w)

@@ -113,15 +113,16 @@ func TestDRRWeightedShare(t *testing.T) {
 	}
 }
 
-// TestFIFOPreservesArrival pins the ablation baseline: FIFO mode
-// ignores weights entirely and grants in strict arrival order.
-func TestFIFOPreservesArrival(t *testing.T) {
+// TestTenantQueuePreservesArrival pins the per-flow order: one
+// tenant's queue is served in strict arrival order whatever the
+// request mix — the arrival-order baseline the qos experiment builds
+// by logging both of its clients in under one account.
+func TestTenantQueuePreservesArrival(t *testing.T) {
 	sim := vtime.NewVirtual()
 	s, err := New(Config{
 		Tenants:     map[string]int{"a": 100, "b": 1},
 		MaxInFlight: 1,
 		Price:       unitPricer,
-		FIFO:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,13 +132,12 @@ func TestFIFOPreservesArrival(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	// Interleave arrivals b,a,b,a... — FIFO must keep that order even
-	// though a's weight is 100.
+	// Two clients of tenant b interleave their arrivals; the grants
+	// must keep that order.
 	var wgs []*sync.WaitGroup
 	want := []string{"b0", "a0", "b1", "a1", "b2", "a2"}
 	for _, id := range want {
-		tenant := id[:1]
-		wgs = append(wgs, fill(t, s, sim, tenant, []string{id}, &order, &mu))
+		wgs = append(wgs, fill(t, s, sim, "b", []string{id}, &order, &mu))
 	}
 	s.Resume()
 	for _, wg := range wgs {
@@ -147,7 +147,7 @@ func TestFIFOPreservesArrival(t *testing.T) {
 	defer mu.Unlock()
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("fifo grant order %v, want %v", order, want)
+			t.Fatalf("grant order %v, want arrival order %v", order, want)
 		}
 	}
 }
@@ -255,13 +255,10 @@ func checkOverload(t *testing.T, err error, tenant string) {
 }
 
 // TestUnknownTenantDefaultWeight: tenants absent from Config.Tenants
-// are admitted and scheduled at DefaultWeight.
+// are admitted and scheduled at defaultWeight.
 func TestUnknownTenantDefaultWeight(t *testing.T) {
 	sim := vtime.NewVirtual()
-	s, err := New(Config{
-		Tenants:       map[string]int{"known": 5},
-		DefaultWeight: 2,
-	})
+	s, err := New(Config{Tenants: map[string]int{"known": 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +273,8 @@ func TestUnknownTenantDefaultWeight(t *testing.T) {
 	for _, ts := range s.Stats().Tenants {
 		weights[ts.Tenant] = ts.Weight
 	}
-	if weights["known"] != 5 || weights["mystery"] != 2 {
-		t.Errorf("weights %v, want known=5 mystery=2", weights)
+	if weights["known"] != 5 || weights["mystery"] != defaultWeight {
+		t.Errorf("weights %v, want known=5 mystery=%d", weights, defaultWeight)
 	}
 }
 

@@ -24,9 +24,6 @@ func WithCapacity(n int64) Option { return func(c *device.Config) { c.Capacity =
 // WithTrace attaches a native-call trace recorder.
 func WithTrace(r *trace.Recorder) Option { return func(c *device.Config) { c.Trace = r } }
 
-// WithParams overrides the cost model.
-func WithParams(p model.Params) Option { return func(c *device.Config) { c.Params = p } }
-
 // New returns a remote-disk backend over the given byte store.
 func New(name string, store storage.Store, opts ...Option) (*device.Backend, error) {
 	cfg := device.Config{

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/memfs"
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -45,7 +46,8 @@ func TestTwoMiBDump(t *testing.T) {
 }
 
 func TestWANSerializesAcrossFiles(t *testing.T) {
-	b, err := New("sdsc-disk", memfs.New(), WithParams(model.Params{Name: "wan", WriteBW: model.MiB}))
+	b, err := New("sdsc-disk", memfs.New(),
+		func(c *device.Config) { c.Params = model.Params{Name: "wan", WriteBW: model.MiB} })
 	if err != nil {
 		t.Fatal(err)
 	}

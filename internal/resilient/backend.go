@@ -13,17 +13,6 @@ import (
 // Option configures a resilient Backend wrapper.
 type Option func(*Backend)
 
-// WithPolicy sets the retry policy (zero fields take defaults).
-func WithPolicy(po Policy) Option {
-	return func(b *Backend) { b.policy = po.withDefaults() }
-}
-
-// WithBreakerConfig tunes the wrapper's circuit breaker.  Ignored when
-// WithHealth supplies a shared registry, whose configuration wins.
-func WithBreakerConfig(cfg BreakerConfig) Option {
-	return func(b *Backend) { b.breakerCfg = cfg.withDefaults() }
-}
-
 // WithHealth registers the wrapper's breaker in a shared Health
 // registry (keyed by the backend name), so placement and replication
 // observe the same circuit this wrapper feeds.
@@ -105,9 +94,6 @@ func (b *Backend) Kind() storage.Kind { return b.inner.Kind() }
 
 // Capacity implements storage.Backend.
 func (b *Backend) Capacity() (total, used int64) { return b.inner.Capacity() }
-
-// Inner returns the wrapped backend.
-func (b *Backend) Inner() storage.Backend { return b.inner }
 
 // Breaker returns the wrapper's circuit breaker.
 func (b *Backend) Breaker() *Breaker { return b.breaker }

@@ -12,6 +12,16 @@ import (
 	"repro/internal/vtime"
 )
 
+// withPolicy and withBreakerConfig shrink the retry budget and the
+// breaker thresholds to test size; shipped wrappers run on the defaults.
+func withPolicy(po Policy) Option {
+	return func(b *Backend) { b.policy = po.withDefaults() }
+}
+
+func withBreakerConfig(cfg BreakerConfig) Option {
+	return func(b *Backend) { b.breakerCfg = cfg.withDefaults() }
+}
+
 func flakyDisk(t *testing.T, pol flaky.Policy) *flaky.Backend {
 	t.Helper()
 	inner, err := localdisk.New("ssa", memfs.New())
@@ -25,7 +35,7 @@ func flakyDisk(t *testing.T, pol flaky.Policy) *flaky.Backend {
 // surfaces to the caller, and every retry charges virtual time.
 func TestRetriesMaskEveryNthFault(t *testing.T) {
 	fb := flakyDisk(t, flaky.Policy{FailEvery: 3, Ops: []string{"write"}})
-	b := Wrap(fb, WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Second, Jitter: 0}))
+	b := Wrap(fb, withPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Second, Jitter: 0}))
 	p := vtime.NewVirtual().NewProc("p")
 	sess, err := b.Connect(p)
 	if err != nil {
@@ -94,8 +104,8 @@ func TestPermanentErrorsPassThrough(t *testing.T) {
 func TestBreakerShedsLoadAndReportsDown(t *testing.T) {
 	fb := flakyDisk(t, flaky.Policy{FailEvery: 1, Ops: []string{"write"}})
 	b := Wrap(fb,
-		WithPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: 0}),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 4, Cooldown: time.Hour}))
+		withPolicy(Policy{MaxAttempts: 2, BaseDelay: time.Millisecond, Jitter: 0}),
+		withBreakerConfig(BreakerConfig{FailureThreshold: 4, Cooldown: time.Hour}))
 	p := vtime.NewVirtual().NewProc("p")
 	sess, err := b.Connect(p)
 	if err != nil {
@@ -139,8 +149,8 @@ func TestBreakerShedsLoadAndReportsDown(t *testing.T) {
 func TestBreakerRecoversViaProbe(t *testing.T) {
 	fb := flakyDisk(t, flaky.Policy{FailEvery: 1, Ops: []string{"write"}})
 	b := Wrap(fb,
-		WithPolicy(Policy{MaxAttempts: 1}),
-		WithBreakerConfig(BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second}))
+		withPolicy(Policy{MaxAttempts: 1}),
+		withBreakerConfig(BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second}))
 	p := vtime.NewVirtual().NewProc("p")
 	sess, _ := b.Connect(p)
 	h, err := sess.Open(p, "f", storage.ModeCreate)
@@ -335,7 +345,7 @@ func TestCreateRetrySeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := Wrap(&createSeam{Backend: inner}, WithPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: 0}))
+	b := Wrap(&createSeam{Backend: inner}, withPolicy(Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: 0}))
 	p := vtime.NewVirtual().NewProc("p")
 	sess, err := b.Connect(p)
 	if err != nil {

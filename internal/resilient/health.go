@@ -9,8 +9,8 @@ import (
 // Health is a registry of per-backend circuit breakers, keyed by
 // backend name.  One registry is shared by every consumer that must
 // agree on availability: the resilient.Backend wrappers feed outcomes
-// in, and placement.Predictive, replica.Backend and reports read state
-// out.  The zero value is not usable; construct with NewHealth.
+// in, and placement.Predictive and reports read state out.  The zero
+// value is not usable; construct with NewHealth.
 type Health struct {
 	cfg BreakerConfig
 

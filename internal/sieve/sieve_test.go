@@ -39,7 +39,7 @@ func newHandle(t *testing.T, params model.Params, contents []byte) (storage.Hand
 
 func TestReadPacksRuns(t *testing.T) {
 	contents := []byte("0123456789abcdef")
-	h, p := newHandle(t, model.Memory(), contents)
+	h, p := newHandle(t, model.Params{Name: "memory"}, contents)
 	runs := []pattern.Run{{Off: 2, Len: 3}, {Off: 8, Len: 2}, {Off: 14, Len: 2}}
 	dst := make([]byte, 7)
 	if err := Read(p, h, runs, dst); err != nil {
@@ -52,7 +52,7 @@ func TestReadPacksRuns(t *testing.T) {
 
 func TestWriteScattersRuns(t *testing.T) {
 	contents := []byte("0123456789abcdef")
-	h, p := newHandle(t, model.Memory(), contents)
+	h, p := newHandle(t, model.Params{Name: "memory"}, contents)
 	runs := []pattern.Run{{Off: 1, Len: 2}, {Off: 10, Len: 3}}
 	if err := Write(p, h, runs, []byte("XYabc")); err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWriteScattersRuns(t *testing.T) {
 
 func TestWritePreservesUntouchedBytes(t *testing.T) {
 	contents := bytes.Repeat([]byte{0xAA}, 64)
-	h, p := newHandle(t, model.Memory(), contents)
+	h, p := newHandle(t, model.Params{Name: "memory"}, contents)
 	runs := []pattern.Run{{Off: 8, Len: 4}, {Off: 40, Len: 4}}
 	if err := Write(p, h, runs, bytes.Repeat([]byte{0xBB}, 8)); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCallCountReduction(t *testing.T) {
 }
 
 func TestSizeValidation(t *testing.T) {
-	h, p := newHandle(t, model.Memory(), []byte("abcd"))
+	h, p := newHandle(t, model.Params{Name: "memory"}, []byte("abcd"))
 	runs := []pattern.Run{{Off: 0, Len: 4}}
 	if err := Read(p, h, runs, make([]byte, 3)); err == nil {
 		t.Fatal("short dst accepted")
@@ -167,7 +167,7 @@ func TestQuickSieveRoundTrip(t *testing.T) {
 				src = append(src, byte(r.Off+j)^seed)
 			}
 		}
-		be, err := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New()})
+		be, err := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New()})
 		if err != nil {
 			return false
 		}

@@ -9,7 +9,7 @@
 // fast path connects directly (the SRB-OL run-time library sits above
 // it), and package srbnet serves the same broker over real TCP.  The
 // container concept SRB offers for small files lives in package
-// superfile; replicated datasets live in package replica.
+// superfile.
 package srb
 
 import (

@@ -14,7 +14,8 @@ import (
 	"repro/internal/vtime"
 )
 
-// Defaults for the client knobs; see the Option constructors.
+// The client's pool and redial constants.  A Client carries them in
+// fields only so in-package tests can shrink one.
 const (
 	DefaultPoolSize       = 4
 	DefaultDialTimeout    = 5 * time.Second
@@ -34,85 +35,6 @@ var errConnFailed = errors.New("srbnet: connection failed")
 // Option configures a Client.
 type Option func(*Client)
 
-// WithPoolSize bounds the client's connection pool.  Sessions share the
-// pooled connections; requests pick the least-busy one and dial a new
-// connection only while the pool has room and every member is occupied.
-func WithPoolSize(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.poolSize = n
-		}
-	}
-}
-
-// WithDialTimeout bounds how long Connect waits for the TCP dial.
-func WithDialTimeout(d time.Duration) Option {
-	return func(c *Client) {
-		if d > 0 {
-			c.dialTimeout = d
-		}
-	}
-}
-
-// WithReadAhead makes every remote read request n extra bytes and cache
-// the surplus per handle, so a sequential scan is served from memory
-// between wire round trips.  The cache is invalidated by writes through
-// the same handle.  Read-ahead changes the charged virtual-time costs
-// (fewer, larger device reads), so it defaults to off; enable it only
-// when wall-clock wire throughput matters more than cost fidelity.
-func WithReadAhead(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.readAhead = n
-		}
-	}
-}
-
-// WithRedial tunes how a pooled request recovers from a poisoned
-// connection: up to attempts tries total, redialing through the pool
-// with exponential backoff (starting at backoff) charged to the calling
-// rank's virtual clock.  Zero values keep the defaults.  Redials give
-// requests at-least-once semantics — a request may have executed
-// server-side before the connection died — which is safe for the
-// offset-addressed wire operations; the create-vs-exists seam is
-// resolved by the resilient wrapper layered above the client.
-func WithRedial(attempts int, backoff time.Duration) Option {
-	return func(c *Client) {
-		if attempts > 0 {
-			c.redialAttempts = attempts
-		}
-		if backoff > 0 {
-			c.redialBackoff = backoff
-		}
-	}
-}
-
-// WithChunkBytes sets the streaming chunk size: an opPutFile/opGetFile
-// body larger than this travels as a sequence of bounded chunk frames,
-// so neither side ever materializes the whole file as one wire message.
-// Bodies at or below the threshold are charged as one device transfer;
-// chunked bodies charge one device transfer per chunk.  Default
-// DefaultChunkBytes.
-func WithChunkBytes(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.chunkBytes = n
-		}
-	}
-}
-
-// WithMaxFrame caps the declared body length the client will accept
-// for one inbound frame.  A corrupt or hostile length prefix beyond
-// the cap poisons the connection before any allocation happens.
-// Default DefaultMaxFrame.
-func WithMaxFrame(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxFrame = n
-		}
-	}
-}
-
 // Client reaches a remote srbnet server.  It implements storage.Backend.
 // Sessions share a pool of multiplexed TCP connections: every request
 // carries a tag, a writer goroutine per connection encodes frames
@@ -129,7 +51,6 @@ type Client struct {
 
 	poolSize       int
 	dialTimeout    time.Duration
-	readAhead      int
 	chunkBytes     int
 	maxFrame       int
 	redialAttempts int
@@ -884,17 +805,14 @@ func (s *clientSession) Close(p *vtime.Proc) error {
 	return err
 }
 
-// clientHandle is one remote file handle, with an optional per-handle
-// read-ahead window for sequential scans.
+// clientHandle is one remote file handle.
 type clientHandle struct {
 	s    *clientSession
 	id   uint64
 	path string
 
-	mu    sync.Mutex
-	size  int64
-	raOff int64
-	ra    []byte
+	mu   sync.Mutex
+	size int64
 }
 
 var (
@@ -917,48 +835,16 @@ func (h *clientHandle) setSize(n int64) {
 	h.mu.Unlock()
 }
 
-// invalidate drops the read-ahead window (any write through the handle
-// may overlap it).
-func (h *clientHandle) invalidate() {
-	h.mu.Lock()
-	h.ra = nil
-	h.mu.Unlock()
-}
-
-// ReadAt implements storage.Handle.  With read-ahead enabled, a request
-// fully inside the cached window is served locally with no wire round
-// trip (and no virtual-time charge — the surplus bytes were charged to
-// the read that fetched them); otherwise the wire read is extended by
-// the read-ahead amount and the surplus cached.
+// ReadAt implements storage.Handle.
 func (h *clientHandle) ReadAt(p *vtime.Proc, b []byte, off int64) (int, error) {
-	ra := h.s.c.readAhead
-	if ra > 0 {
-		h.mu.Lock()
-		if h.ra != nil && off >= h.raOff && off+int64(len(b)) <= h.raOff+int64(len(h.ra)) {
-			copy(b, h.ra[off-h.raOff:])
-			h.mu.Unlock()
-			return len(b), nil
-		}
-		h.mu.Unlock()
-	}
-	want := len(b)
-	if ra > 0 {
-		want += ra
-	}
 	req := getRequest()
-	req.Op, req.Handle, req.Off, req.N = opRead, h.id, off, want
+	req.Op, req.Handle, req.Off, req.N = opRead, h.id, off, len(b)
 	resp, err := h.s.call(p, req)
 	if err != nil {
 		return 0, err
 	}
 	h.setSize(resp.Size)
 	n := copy(b, resp.Data)
-	if ra > 0 && len(resp.Data) > len(b) {
-		h.mu.Lock()
-		h.raOff = off
-		h.ra = append([]byte(nil), resp.Data...)
-		h.mu.Unlock()
-	}
 	resp.release()
 	if n < len(b) {
 		return n, fmt.Errorf("srbnet client: short read of %q at %d: n=%d", h.path, off, n)
@@ -974,7 +860,6 @@ func (h *clientHandle) WriteAt(p *vtime.Proc, b []byte, off int64) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	h.invalidate()
 	h.setSize(resp.Size)
 	n := resp.N
 	resp.release()
@@ -1029,7 +914,6 @@ func (h *clientHandle) WriteAtV(p *vtime.Proc, vecs []storage.Vec) (int64, error
 	if err != nil {
 		return 0, err
 	}
-	h.invalidate()
 	h.setSize(resp.Size)
 	n := int64(resp.N)
 	resp.release()

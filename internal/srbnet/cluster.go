@@ -51,9 +51,9 @@ func (c *Client) ClusterStats() (redirects, failovers int64) {
 }
 
 // subClient returns (creating on first use) the plain per-broker
-// client behind one cluster address.  Sub-clients share the parent's
-// wire options but keep their own connection pools and rank-pid maps,
-// exactly as N independent clients would.
+// client behind one cluster address.  Sub-clients keep their own
+// connection pools and rank-pid maps, exactly as N independent clients
+// would.
 func (c *Client) subClient(addr string) *Client {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
@@ -63,22 +63,7 @@ func (c *Client) subClient(addr string) *Client {
 	if s, ok := c.subs[addr]; ok {
 		return s
 	}
-	s := &Client{
-		addr:           addr,
-		user:           c.user,
-		secret:         c.secret,
-		resource:       c.resource,
-		kind:           c.kind,
-		name:           "srb://" + addr + "/" + c.resource,
-		poolSize:       c.poolSize,
-		dialTimeout:    c.dialTimeout,
-		readAhead:      c.readAhead,
-		chunkBytes:     c.chunkBytes,
-		maxFrame:       c.maxFrame,
-		redialAttempts: c.redialAttempts,
-		redialBackoff:  c.redialBackoff,
-		pids:           make(map[*vtime.Proc]uint64),
-	}
+	s := NewClient(addr, c.user, c.secret, c.resource, c.kind)
 	c.subs[addr] = s
 	return s
 }

@@ -102,7 +102,7 @@ func TestPipelinedConcurrentRanks(t *testing.T) {
 // bound to a socket.
 func TestSessionsSharePooledConnection(t *testing.T) {
 	sim := vtime.NewVirtual()
-	_, client := newServerOpts(t, sim, WithPoolSize(1))
+	_, client := newServerOpts(t, sim, func(c *Client) { c.poolSize = 1 })
 	p1 := sim.NewProc("p1")
 	p2 := sim.NewProc("p2")
 	s1, err := client.Connect(p1)
@@ -282,67 +282,6 @@ func TestWholeFileMatchesSequenceCosts(t *testing.T) {
 	}
 }
 
-// TestReadAhead checks the sequential-read cache: the second read of a
-// scan is served locally (no clock advance), and a write through the
-// handle invalidates the window.
-func TestReadAhead(t *testing.T) {
-	sim := vtime.NewVirtual()
-	_, client := newServerOpts(t, sim, WithReadAhead(64*1024))
-	p := sim.NewProc("p")
-	sess, err := client.Connect(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sess.Open(p, "ra/f", storage.ModeCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 2048) // 32 KiB
-	if _, err := h.WriteAt(p, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	got := make([]byte, 4096)
-	if _, err := h.ReadAt(p, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload[:4096]) {
-		t.Fatal("first read corrupted")
-	}
-	// The whole 32 KiB file fits the 64 KiB read-ahead window, so the
-	// rest of the scan is free: no wire call, no virtual-time advance.
-	before := p.Now()
-	for off := int64(4096); off < int64(len(payload)); off += 4096 {
-		if _, err := h.ReadAt(p, got, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload[off:off+4096]) {
-			t.Fatalf("cached read at %d corrupted", off)
-		}
-	}
-	if p.Now() != before {
-		t.Fatalf("cached reads advanced the clock by %v", p.Now()-before)
-	}
-
-	// A write through the handle invalidates the window.
-	patch := bytes.Repeat([]byte("X"), 4096)
-	if _, err := h.WriteAt(p, patch, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.ReadAt(p, got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, patch) {
-		t.Fatal("read after write returned stale cached bytes")
-	}
-	if err := h.Close(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Close(p); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServerGoneFailsFast: once the server is down, in-flight and new
 // calls fail with errors instead of hanging.
 func TestServerGoneFailsFast(t *testing.T) {
@@ -366,7 +305,7 @@ func TestServerGoneFailsFast(t *testing.T) {
 func TestDialTimeout(t *testing.T) {
 	// TEST-NET-3 (RFC 5737) is reserved and not routed.
 	client := NewClient("203.0.113.1:9", "u", "s", "r", storage.KindRemoteDisk,
-		WithDialTimeout(100*time.Millisecond))
+		func(c *Client) { c.dialTimeout = 100 * time.Millisecond })
 	sim := vtime.NewVirtual()
 	p := sim.NewProc("p")
 	start := time.Now()

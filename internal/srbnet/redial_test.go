@@ -72,7 +72,7 @@ func TestRedialRecoversPoisonedPool(t *testing.T) {
 // poisoned connection pays its redial backoff on the virtual clock.
 func TestRedialChargesVirtualBackoff(t *testing.T) {
 	sim := vtime.NewVirtual()
-	_, client := newServerOpts(t, sim, WithRedial(3, 50*time.Millisecond))
+	_, client := newServerOpts(t, sim, func(c *Client) { c.redialBackoff = 50 * time.Millisecond })
 	p := sim.NewProc("p")
 	sess, err := client.Connect(p)
 	if err != nil {
@@ -108,7 +108,10 @@ func TestRedialChargesVirtualBackoff(t *testing.T) {
 // outer retry layers stop immediately.
 func TestRedialExhaustionIsPermanent(t *testing.T) {
 	sim := vtime.NewVirtual()
-	srv, client := newServerOpts(t, sim, WithRedial(2, time.Millisecond), WithDialTimeout(200*time.Millisecond))
+	srv, client := newServerOpts(t, sim, func(c *Client) {
+		c.redialAttempts, c.redialBackoff = 2, time.Millisecond
+		c.dialTimeout = 200 * time.Millisecond
+	})
 	p := sim.NewProc("p")
 	sess, err := client.Connect(p)
 	if err != nil {

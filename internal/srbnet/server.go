@@ -37,8 +37,7 @@ type Server struct {
 	sched  *qos.Scheduler
 	router ShardRouter
 
-	maxFrame   int
-	chunkBytes int
+	chunkBytes int // DefaultChunkBytes; a field so in-package tests can stream test-sized files
 
 	mu     sync.Mutex
 	closed bool
@@ -88,29 +87,6 @@ func WithShardRouter(r ShardRouter) ServerOption {
 	return func(s *Server) { s.router = r }
 }
 
-// WithServerMaxFrame caps the declared body length the server accepts
-// for one inbound frame, and bounds the buffer one opRead/opReadV/
-// opGetFile response may pin.  A frame over the cap is rejected before
-// any allocation and poisons the connection.  Default DefaultMaxFrame.
-func WithServerMaxFrame(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxFrame = n
-		}
-	}
-}
-
-// WithServerChunkBytes sets the streaming threshold and chunk size for
-// opGetFile responses: a file larger than this leaves the server as
-// a sequence of bounded chunk frames.  Default DefaultChunkBytes.
-func WithServerChunkBytes(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.chunkBytes = n
-		}
-	}
-}
-
 // Serve starts a server on addr ("127.0.0.1:0" picks a free port) using
 // the given Sim for server-side clocks.  It returns once the listener is
 // ready; Close stops it.
@@ -124,7 +100,6 @@ func Serve(addr string, broker *srb.Broker, sim *vtime.Sim, opts ...ServerOption
 		sim:        sim,
 		lis:        lis,
 		logf:       log.Printf,
-		maxFrame:   DefaultMaxFrame,
 		chunkBytes: DefaultChunkBytes,
 		conns:      make(map[net.Conn]struct{}),
 		sessions:   make(map[uint64]*srvSession),
@@ -282,7 +257,7 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader) {
 	var hwg sync.WaitGroup
 	streams := make(map[uint64]chan *request)
 	for {
-		f, err := readFrame(br, s.maxFrame)
+		f, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("srbnet: read frame from %s: %v", conn.RemoteAddr(), err)
@@ -587,8 +562,8 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if !ok {
 			return fail(storage.ErrClosed)
 		}
-		if req.N < 0 || req.N > s.maxFrame {
-			return fail(fmt.Errorf("srbnet: read of %d bytes exceeds frame cap %d", req.N, s.maxFrame))
+		if req.N < 0 || req.N > DefaultMaxFrame {
+			return fail(fmt.Errorf("srbnet: read of %d bytes exceeds frame cap %d", req.N, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		buf := resp.dbuf.grow(req.N)
@@ -623,8 +598,8 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 			}
 			total += v.N
 		}
-		if total > s.maxFrame {
-			return fail(fmt.Errorf("srbnet: vectored read of %d bytes exceeds frame cap %d", total, s.maxFrame))
+		if total > DefaultMaxFrame {
+			return fail(fmt.Errorf("srbnet: vectored read of %d bytes exceeds frame cap %d", total, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		base := resp.dbuf.grow(total)
@@ -681,9 +656,9 @@ func (s *Server) execute(ss *srvSession, proc *vtime.Proc, req *request, resp *r
 		if size > int64(s.chunkBytes) {
 			return s.streamGetFile(proc, req, resp, h, size, wc)
 		}
-		if size > int64(s.maxFrame) {
+		if size > int64(DefaultMaxFrame) {
 			h.Close(proc)
-			return fail(fmt.Errorf("srbnet: file %q (%d bytes) exceeds frame cap %d", req.Path, size, s.maxFrame))
+			return fail(fmt.Errorf("srbnet: file %q (%d bytes) exceeds frame cap %d", req.Path, size, DefaultMaxFrame))
 		}
 		resp.dbuf = getFrame()
 		buf := resp.dbuf.grow(int(size))

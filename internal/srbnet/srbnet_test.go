@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/device"
 	"repro/internal/localdisk"
 	"repro/internal/memfs"
 	"repro/internal/model"
@@ -167,7 +168,7 @@ func TestTwoClientsContendOnServerDevices(t *testing.T) {
 	sim := vtime.NewVirtual()
 	broker := srb.NewBroker()
 	be, err := remotedisk.New("wan", memfs.New(),
-		remotedisk.WithParams(model.Params{Name: "wan", WriteBW: model.MiB}))
+		func(c *device.Config) { c.Params = model.Params{Name: "wan", WriteBW: model.MiB} })
 	if err != nil {
 		t.Fatal(err)
 	}

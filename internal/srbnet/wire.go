@@ -34,8 +34,7 @@ import (
 	"time"
 )
 
-// Wire limits; see WithMaxFrame / WithChunkBytes and the server
-// options of the same names.
+// Wire limits.  Both sides enforce them; neither is configurable.
 const (
 	// DefaultMaxFrame caps the declared body length of one decoded
 	// frame (and the byte count of one opRead/opReadV response).

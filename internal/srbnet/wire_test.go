@@ -35,13 +35,13 @@ func newChunkedServer(t *testing.T, sim *vtime.Sim, chunk int, opts ...Option) (
 		t.Fatal(err)
 	}
 	broker.AddUser("shen", "nwu")
-	srv, err := Serve("127.0.0.1:0", broker, sim, WithServerChunkBytes(chunk))
+	srv, err := Serve("127.0.0.1:0", broker, sim, func(s *Server) { s.chunkBytes = chunk })
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetLogf(func(string, ...any) {})
 	t.Cleanup(func() { srv.Close() })
-	opts = append([]Option{WithChunkBytes(chunk)}, opts...)
+	opts = append([]Option{func(c *Client) { c.chunkBytes = chunk }}, opts...)
 	c := NewClient(srv.Addr(), "shen", "nwu", "sdsc-disk", storage.KindRemoteDisk, opts...)
 	t.Cleanup(func() { c.Close() })
 	return srv, c
@@ -527,7 +527,7 @@ func TestTruncatedFramePoisonsClient(t *testing.T) {
 }
 
 // TestOversizeResponsePoisonsClient: the client applies the same
-// declared-length cap as the server (WithMaxFrame), so a hostile
+// declared-length cap as the server, so a hostile
 // server cannot make it allocate an arbitrary buffer.
 func TestOversizeResponsePoisonsClient(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -555,7 +555,7 @@ func TestOversizeResponsePoisonsClient(t *testing.T) {
 	}()
 	sim := vtime.NewVirtual()
 	client := NewClient(lis.Addr().String(), "shen", "nwu", "r", storage.KindRemoteDisk,
-		WithMaxFrame(1<<20))
+		func(c *Client) { c.maxFrame = 1 << 20 })
 	defer client.Close()
 	if _, err := client.Connect(sim.NewProc("p")); err == nil {
 		t.Fatal("connect over an oversize-frame stream succeeded")

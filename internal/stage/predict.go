@@ -56,34 +56,3 @@ func (m *Manager) PredictStagedRead(d predict.DatasetReq, iterations int) (first
 	first = hit + time.Duration(float64(dp.Dumps)*(tGet+tPut)*float64(time.Second))
 	return first, hit, nil
 }
-
-// PredictStagedWrite evaluates eq. (2) for a producer writing the
-// dataset through the cache with write-back: every dump is written at
-// cache speed, and each distinct instance drains once to the home
-// resource (over_write datasets keep a single instance; others drain
-// every dump).
-func (m *Manager) PredictStagedWrite(d predict.DatasetReq, iterations int) (time.Duration, error) {
-	if m.cfg.PDB == nil {
-		return 0, fmt.Errorf("stage: no predictor configured")
-	}
-	cached := d
-	cached.Location = m.cfg.Cache.Kind().String()
-	dp, err := m.cfg.PDB.PredictDataset(cached, iterations)
-	if err != nil {
-		return 0, err
-	}
-	size := instanceBytes(d)
-	tGet, err := m.cfg.PDB.WholeFile(m.cfg.Cache.Kind().String(), "read", size)
-	if err != nil {
-		return 0, err
-	}
-	tPut, err := m.cfg.PDB.WholeFile(d.Location, "write", size)
-	if err != nil {
-		return 0, err
-	}
-	drains := dp.Dumps
-	if d.AMode == "over_write" {
-		drains = 1
-	}
-	return dp.VirtualTime + time.Duration(float64(drains)*(tGet+tPut)*float64(time.Second)), nil
-}

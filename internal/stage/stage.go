@@ -212,9 +212,6 @@ func (m *Manager) Close() {
 	}
 }
 
-// CacheName returns the cache backend's instance name.
-func (m *Manager) CacheName() string { return m.cfg.Cache.Name() }
-
 // CacheKind returns the cache backend's storage class.
 func (m *Manager) CacheKind() storage.Kind { return m.cfg.Cache.Kind() }
 

@@ -3,6 +3,7 @@ package storetest
 import (
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/memfs"
 	"repro/internal/osfs"
 	"repro/internal/storage"
@@ -20,4 +21,10 @@ func TestOSFSConformance(t *testing.T) {
 		}
 		return fs
 	})
+}
+
+// TestFaultFSConformance covers the store every crash matrix stands on:
+// with no crash point armed it must be indistinguishable from the others.
+func TestFaultFSConformance(t *testing.T) {
+	Run(t, func(t *testing.T) storage.Store { return faultfs.New().Store() })
 }

@@ -14,7 +14,7 @@ import (
 
 func setup(t *testing.T) (storage.Session, *vtime.Sim) {
 	t.Helper()
-	be, err := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New(), Channels: 4})
+	be, err := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New(), Channels: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func FuzzOpen(f *testing.F) {
 	// Seed with a valid container and a few corruptions.
 	valid := func() []byte {
-		be, _ := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New()})
+		be, _ := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New()})
 		p := vtime.NewVirtual().NewProc("p")
 		sess, _ := be.Connect(p)
 		c, _ := Create(p, sess, "sf")
@@ -31,7 +31,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte("short"))
 	f.Add(append([]byte("garbagegarbage"), valid[len(valid)-16:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		be, err := device.New(device.Config{Name: "b", Params: model.Memory(), Store: memfs.New()})
+		be, err := device.New(device.Config{Name: "b", Params: model.Params{Name: "memory"}, Store: memfs.New()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 // TestPutVRoundTrip appends a batch in one vectored write and reads
 // every member back after reopen.
 func TestPutVRoundTrip(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, err := Create(p, sess, "batch.sf")
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestPutVRoundTrip(t *testing.T) {
 // existing index and within the batch itself.  A rejected batch commits
 // nothing.
 func TestPutVRejectsDuplicates(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, err := Create(p, sess, "dup.sf")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestPutVRejectsDuplicates(t *testing.T) {
 
 // TestPutVReadOnly rejects batches on read-only containers.
 func TestPutVReadOnly(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, err := Create(p, sess, "ro.sf")
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func setup(t *testing.T, params model.Params) (storage.Session, *vtime.Proc) {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, err := Create(p, sess, "images.sf")
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFirstGetFetchesWholeContainer(t *testing.T) {
 }
 
 func TestGetMissing(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, _ := Create(p, sess, "sf")
 	c.Put(p, "a", []byte{1})
 	c.Close(p)
@@ -119,7 +119,7 @@ func TestGetMissing(t *testing.T) {
 }
 
 func TestDuplicatePut(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, _ := Create(p, sess, "sf")
 	c.Put(p, "a", []byte{1})
 	if err := c.Put(p, "a", []byte{2}); !errors.Is(err, storage.ErrExist) {
@@ -128,7 +128,7 @@ func TestDuplicatePut(t *testing.T) {
 }
 
 func TestPutOnReadOnly(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, _ := Create(p, sess, "sf")
 	c.Put(p, "a", []byte{1})
 	c.Close(p)
@@ -139,7 +139,7 @@ func TestPutOnReadOnly(t *testing.T) {
 }
 
 func TestClosedContainer(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	c, _ := Create(p, sess, "sf")
 	c.Close(p)
 	if err := c.Put(p, "x", []byte{1}); !errors.Is(err, storage.ErrClosed) {
@@ -154,7 +154,7 @@ func TestClosedContainer(t *testing.T) {
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {
-	sess, p := setup(t, model.Memory())
+	sess, p := setup(t, model.Params{Name: "memory"})
 	h, _ := sess.Open(p, "junk", storage.ModeCreate)
 	h.WriteAt(p, bytes.Repeat([]byte{0x42}, 64), 0)
 	h.Close(p)
@@ -172,7 +172,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 // Property: any set of distinct names/payloads round-trips.
 func TestQuickContainerRoundTrip(t *testing.T) {
 	f := func(payloads [][]byte) bool {
-		sess, p := setup(t, model.Memory())
+		sess, p := setup(t, model.Params{Name: "memory"})
 		c, err := Create(p, sess, "sf")
 		if err != nil {
 			return false

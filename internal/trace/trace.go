@@ -22,16 +22,12 @@ type Op string
 
 // Operation labels recorded by the backends.
 const (
-	OpConnect   Op = "connect"
-	OpOpen      Op = "open"
-	OpRead      Op = "read"
-	OpWrite     Op = "write"
-	OpClose     Op = "close"
-	OpConnClose Op = "connclose"
-	OpMount     Op = "mount"
-	OpStat      Op = "stat"
-	OpList      Op = "list"
-	OpRemove    Op = "remove"
+	OpConnect Op = "connect"
+	OpOpen    Op = "open"
+	OpRead    Op = "read"
+	OpWrite   Op = "write"
+	OpClose   Op = "close"
+	OpMount   Op = "mount"
 )
 
 // Span labels recorded by the staging engine (package stage), so cache
@@ -192,8 +188,8 @@ func (r *Recorder) Count(backend string, op Op) int {
 	return n
 }
 
-// Line is one row of a per-(backend, op) summary.
-type Line struct {
+// line is one row of a per-(backend, op) summary.
+type line struct {
 	Backend string
 	Op      Op
 	Calls   int
@@ -201,21 +197,21 @@ type Line struct {
 	Cost    time.Duration
 }
 
-// Summary aggregates events per (backend, op), sorted.  The fold runs
+// summary aggregates events per (backend, op), sorted.  The fold runs
 // over the retained slice under the lock — no per-call copy of the
 // whole event log.
-func (r *Recorder) Summary() []Line {
+func (r *Recorder) summary() []line {
 	if r == nil {
 		return nil
 	}
-	agg := make(map[string]*Line)
+	agg := make(map[string]*line)
 	r.mu.Lock()
 	for i := range r.events {
 		e := &r.events[i]
 		key := e.Backend + "\x00" + string(e.Op)
 		l, ok := agg[key]
 		if !ok {
-			l = &Line{Backend: e.Backend, Op: e.Op}
+			l = &line{Backend: e.Backend, Op: e.Op}
 			agg[key] = l
 		}
 		l.Calls++
@@ -223,7 +219,7 @@ func (r *Recorder) Summary() []Line {
 		l.Cost += e.Cost
 	}
 	r.mu.Unlock()
-	out := make([]Line, 0, len(agg))
+	out := make([]line, 0, len(agg))
 	for _, l := range agg {
 		out = append(out, *l)
 	}
@@ -239,18 +235,18 @@ func (r *Recorder) Summary() []Line {
 // SummaryString renders the summary as a table.
 func (r *Recorder) SummaryString() string {
 	s := fmt.Sprintf("%-16s %-10s %8s %14s %12s\n", "backend", "op", "calls", "bytes", "cost(s)")
-	for _, l := range r.Summary() {
+	for _, l := range r.summary() {
 		s += fmt.Sprintf("%-16s %-10s %8d %14d %12.3f\n", l.Backend, l.Op, l.Calls, l.Bytes, l.Cost.Seconds())
 	}
 	return s
 }
 
-// csvHeader is the column layout of WriteCSV/ReadCSV.
+// csvHeader is the column layout of WriteCSV.
 var csvHeader = []string{"at_s", "proc", "backend", "op", "path", "bytes", "cost_s"}
 
 // WriteCSV emits the raw events as CSV (header + one row per event).
 // Fields are RFC 4180 quoted, so commas, quotes and newlines in paths
-// or process names survive a round trip through ReadCSV.
+// or process names survive a round trip through a CSV reader.
 func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
@@ -279,42 +275,4 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("trace csv: %w", err)
 	}
 	return nil
-}
-
-// ReadCSV parses events previously emitted by WriteCSV.
-func ReadCSV(rd io.Reader) ([]Event, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = len(csvHeader)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace csv: %w", err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("trace csv: missing header")
-	}
-	var events []Event
-	for _, rec := range rows[1:] {
-		at, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace csv: bad at_s %q: %w", rec[0], err)
-		}
-		bytes, err := strconv.ParseInt(rec[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace csv: bad bytes %q: %w", rec[5], err)
-		}
-		cost, err := strconv.ParseFloat(rec[6], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace csv: bad cost_s %q: %w", rec[6], err)
-		}
-		events = append(events, Event{
-			At:      time.Duration(at * float64(time.Second)),
-			Proc:    rec[1],
-			Backend: rec[2],
-			Op:      Op(rec[3]),
-			Path:    rec[4],
-			Bytes:   bytes,
-			Cost:    time.Duration(cost * float64(time.Second)),
-		})
-	}
-	return events, nil
 }

@@ -222,13 +222,6 @@ func (r *Resource) reserve(p *Proc, d time.Duration) time.Duration {
 	return end
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.freeAt
-}
-
 // Stats reports the accumulated busy time and operation count.
 func (r *Resource) Stats() (busy time.Duration, ops int64) {
 	r.mu.Lock()
@@ -242,55 +235,4 @@ func (r *Resource) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.freeAt, r.busy, r.ops = 0, 0, 0
-}
-
-// Pool is a bank of n interchangeable resources (for example the four SSA
-// disks attached to an SP2 node).  Acquire picks the earliest-free member,
-// so up to n operations overlap.
-type Pool struct {
-	mu      sync.Mutex
-	members []*Resource
-}
-
-// NewPool returns a pool of n resources named prefix0..prefix{n-1}.
-func NewPool(prefix string, n int) *Pool {
-	if n <= 0 {
-		panic("vtime: pool size must be positive")
-	}
-	p := &Pool{members: make([]*Resource, n)}
-	for i := range p.members {
-		p.members[i] = NewResource(fmt.Sprintf("%s%d", prefix, i))
-	}
-	return p
-}
-
-// Size returns the number of members.
-func (pl *Pool) Size() int { return len(pl.members) }
-
-// Member returns the i'th member resource.
-func (pl *Pool) Member(i int) *Resource { return pl.members[i] }
-
-// Acquire occupies the earliest-free member for d on behalf of p.  The
-// select-and-reserve step is atomic across the pool, so concurrent callers
-// spread over idle members instead of piling onto one.
-func (pl *Pool) Acquire(p *Proc, d time.Duration) time.Duration {
-	pl.mu.Lock()
-	best := pl.members[0]
-	bestFree := best.FreeAt()
-	for _, m := range pl.members[1:] {
-		if f := m.FreeAt(); f < bestFree {
-			best, bestFree = m, f
-		}
-	}
-	end := best.reserve(p, d)
-	pl.mu.Unlock()
-	p.AdvanceTo(end)
-	return end
-}
-
-// Reset resets every member.
-func (pl *Pool) Reset() {
-	for _, m := range pl.members {
-		m.Reset()
-	}
 }

@@ -92,49 +92,6 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestPoolOverlap(t *testing.T) {
-	sim := NewVirtual()
-	pool := NewPool("ssa", 4)
-	ps := sim.NewProcs("r", 4)
-	// Four procs each use a disk for 8s; with 4 members all overlap.
-	var wg sync.WaitGroup
-	for _, p := range ps {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			pool.Acquire(p, 8*time.Second)
-		}(p)
-	}
-	wg.Wait()
-	for i, p := range ps {
-		if p.Now() != 8*time.Second {
-			t.Fatalf("proc %d at %v, want 8s (fully overlapped)", i, p.Now())
-		}
-	}
-}
-
-func TestPoolQueuesWhenOversubscribed(t *testing.T) {
-	sim := NewVirtual()
-	pool := NewPool("d", 2)
-	p := sim.NewProc("p")
-	// One proc issuing 4 sequential ops can't exceed serial behaviour...
-	for i := 0; i < 4; i++ {
-		pool.Acquire(p, time.Second)
-	}
-	if p.Now() != 4*time.Second {
-		t.Fatalf("sequential caller at %v, want 4s", p.Now())
-	}
-	// ...but 4 independent procs on 2 members take 2 rounds.
-	pool.Reset()
-	ps := sim.NewProcs("q", 4)
-	for _, q := range ps {
-		pool.Acquire(q, time.Second)
-	}
-	if max := MaxNow(ps...); max != 2*time.Second {
-		t.Fatalf("oversubscribed finish = %v, want 2s", max)
-	}
-}
-
 func TestScaledModeSleeps(t *testing.T) {
 	sim := NewScaled(1e-6) // 1s simulated = 1µs wall
 	p := sim.NewProc("p")
@@ -153,8 +110,8 @@ func TestResourceReset(t *testing.T) {
 	p := NewVirtual().NewProc("p")
 	r.Acquire(p, time.Second)
 	r.Reset()
-	if f := r.FreeAt(); f != 0 {
-		t.Fatalf("FreeAt after reset = %v, want 0", f)
+	if f := r.freeAt; f != 0 {
+		t.Fatalf("freeAt after reset = %v, want 0", f)
 	}
 	busy, ops := r.Stats()
 	if busy != 0 || ops != 0 {
@@ -208,7 +165,7 @@ func TestQuickResourceConservation(t *testing.T) {
 			sum += time.Duration(d) * time.Millisecond
 		}
 		busy, ops := r.Stats()
-		return busy == sum && ops == int64(len(durs)) && r.FreeAt() == sum
+		return busy == sum && ops == int64(len(durs)) && r.freeAt == sum
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -270,8 +227,8 @@ func TestConcurrentResourceRace(t *testing.T) {
 	if ops != n*10 || busy != n*10*time.Millisecond {
 		t.Fatalf("stats = (%v,%d), want (%v,%d)", busy, ops, n*10*time.Millisecond, n*10)
 	}
-	if r.FreeAt() != busy {
-		t.Fatalf("freeAt %v != busy %v for back-to-back serialized ops", r.FreeAt(), busy)
+	if r.freeAt != busy {
+		t.Fatalf("freeAt %v != busy %v for back-to-back serialized ops", r.freeAt, busy)
 	}
 }
 
@@ -286,7 +243,6 @@ func TestConstructorPanics(t *testing.T) {
 	}
 	mustPanic("NewScaled(0)", func() { NewScaled(0) })
 	mustPanic("NewScaled(-1)", func() { NewScaled(-1) })
-	mustPanic("NewPool(0)", func() { NewPool("p", 0) })
 }
 
 func TestSimAccessors(t *testing.T) {
@@ -301,9 +257,5 @@ func TestSimAccessors(t *testing.T) {
 	p := v.NewProc("x")
 	if p.Sim() != v || p.Name() != "x" {
 		t.Fatal("proc accessors broken")
-	}
-	pool := NewPool("d", 3)
-	if pool.Size() != 3 || pool.Member(1).Name() != "d1" {
-		t.Fatalf("pool accessors: size=%d member=%q", pool.Size(), pool.Member(1).Name())
 	}
 }

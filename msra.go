@@ -206,9 +206,8 @@ type SRBServerOption = srbnet.ServerOption
 // queued.
 var WithSRBScheduler = srbnet.WithScheduler
 
-// SRBOption configures an SRB client (pool size, dial timeout,
-// read-ahead, redial budget, framing limits, cluster routing); the
-// constructors are internal/srbnet's With* functions.
+// SRBOption configures an SRB client; internal/srbnet's WithCluster
+// (cluster routing) is the one constructor.
 type SRBOption = srbnet.Option
 
 // NewSRBClient returns a backend that reaches a broker resource over
@@ -264,7 +263,7 @@ type (
 	// reads, and bounded queue budgets with typed backpressure.
 	QoSScheduler = qos.Scheduler
 	// QoSConfig parameterizes a scheduler (weights, budgets, pricer,
-	// tape library, FIFO ablation switch).
+	// tape library).
 	QoSConfig = qos.Config
 )
 
