@@ -38,5 +38,6 @@ func (db *DB) CopyFrom(src *DB) {
 	db.mu.Lock()
 	db.runs, db.datasets, db.lifecycles = c.runs, c.datasets, c.lifecycles
 	db.samples, db.constants = c.samples, c.constants
+	db.curves.Store(nil)
 	db.mu.Unlock()
 }

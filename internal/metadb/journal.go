@@ -296,8 +296,8 @@ func (db *DB) ApplyRecord(typ byte, data []byte) error {
 	return db.apply(wal.Record{Type: typ, Data: data})
 }
 
-// install replaces the tables from a decoded snapshot (recovery path;
-// no locking — the database is not yet shared).
+// install replaces the tables from a decoded snapshot.  Caller holds
+// db.mu, or the database is not yet shared (recovery).
 func (db *DB) install(snap snapshot) {
 	db.runs = make(map[string]Run, len(snap.Runs))
 	for _, r := range snap.Runs {
@@ -313,6 +313,7 @@ func (db *DB) install(snap snapshot) {
 	}
 	db.samples = snap.Samples
 	db.constants = snap.Constants
+	db.curves.Store(nil)
 }
 
 // apply replays one journal record against the tables (recovery path).
@@ -336,6 +337,7 @@ func (db *DB) apply(r wal.Record) error {
 			return err
 		}
 		db.samples = append(db.samples, s)
+		db.curves.Store(nil)
 	case recReplaceSamples:
 		var p replacePayload
 		if err := json.Unmarshal(r.Data, &p); err != nil {

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/vfs"
@@ -135,6 +136,10 @@ type DB struct {
 	lifecycles map[string]Lifecycle
 	samples    []PerfSample
 	constants  []PerfConstant
+	// curves is the compiled form of samples (see Curve): nil until the
+	// first read after a write.  Every site that writes db.samples
+	// clears it, under db.mu.
+	curves atomic.Pointer[[]curve]
 
 	// The commit pipeline's state (journal.go).  jmu orders journal
 	// appends and hands out tickets; it is taken before mu and never
@@ -332,6 +337,7 @@ func (db *DB) AddSample(p *vtime.Proc, s PerfSample) error {
 		return err
 	}
 	db.samples = append(db.samples, s)
+	db.curves.Store(nil)
 	db.applied()
 	return nil
 }
@@ -367,30 +373,78 @@ func (db *DB) replaceSamplesLocked(resource, op string, samples []PerfSample) {
 		s.Resource, s.Op = resource, op
 		db.samples = append(db.samples, s)
 	}
+	db.curves.Store(nil)
 }
 
-// Samples returns the samples for (resource, op) sorted by size.
-// Duplicate sizes are averaged, matching how PTool's repeated
-// measurements are consumed by the predictor.
+// Samples returns the samples for (resource, op) sorted by size, with
+// duplicate sizes averaged: a private copy of Curve.
 func (db *DB) Samples(p *vtime.Proc, resource, op string) []PerfSample {
 	db.charge(p, model.Read)
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	bySize := make(map[int64][]float64)
-	for _, s := range db.samples {
-		if s.Resource == resource && s.Op == op {
-			bySize[s.Size] = append(bySize[s.Size], s.Seconds)
+	return append([]PerfSample{}, db.Curve(resource, op)...)
+}
+
+// curve is one compiled transfer-time curve.
+type curve struct {
+	resource, op string
+	pts          []PerfSample
+}
+
+// Curve returns the transfer-time curve for (resource, op) the
+// predictor interpolates: the samples sorted by size, duplicate sizes
+// averaged the way PTool's repeated measurements are consumed.  The
+// slice is shared and must not be modified.  Every curve is compiled
+// once and published through db.curves, so a call between sample
+// writes takes no lock and allocates nothing; a write clears the
+// pointer and the next call sees the new samples.
+func (db *DB) Curve(resource, op string) []PerfSample {
+	cs := db.curves.Load()
+	if cs == nil {
+		// Published with the read lock still held: a writer clears the
+		// pointer under the write lock, so a stale compilation can never
+		// land after the clear.
+		db.mu.RLock()
+		compiled := compileCurves(db.samples)
+		cs = &compiled
+		db.curves.Store(cs)
+		db.mu.RUnlock()
+	}
+	for _, c := range *cs {
+		if c.resource == resource && c.op == op {
+			return c.pts
 		}
 	}
-	out := make([]PerfSample, 0, len(bySize))
-	for size, secs := range bySize {
-		var sum float64
-		for _, v := range secs {
-			sum += v
+	return nil
+}
+
+// compileCurves sorts a copy of the rows by (resource, op, size) —
+// stably, so rows of one size keep their order — and folds each run of
+// equal keys into one averaged point of its curve.
+func compileCurves(samples []PerfSample) []curve {
+	rows := append([]PerfSample(nil), samples...)
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
+		if a.Resource != b.Resource {
+			return a.Resource < b.Resource
 		}
-		out = append(out, PerfSample{Resource: resource, Op: op, Size: size, Seconds: sum / float64(len(secs))})
+		if a.Op != b.Op {
+			return a.Op < b.Op
+		}
+		return a.Size < b.Size
+	})
+	var out []curve
+	for i := 0; i < len(rows); {
+		pt, sum, j := rows[i], 0.0, i
+		for ; j < len(rows) && rows[j].Resource == pt.Resource && rows[j].Op == pt.Op && rows[j].Size == pt.Size; j++ {
+			sum += rows[j].Seconds
+		}
+		pt.Seconds = sum / float64(j-i)
+		if n := len(out); n == 0 || out[n-1].resource != pt.Resource || out[n-1].op != pt.Op {
+			out = append(out, curve{resource: pt.Resource, op: pt.Op})
+		}
+		c := &out[len(out)-1]
+		c.pts = append(c.pts, pt)
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Size < out[j].Size })
 	return out
 }
 

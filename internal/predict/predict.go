@@ -39,16 +39,27 @@ func NewDB(meta *metadb.DB) *DB { return &DB{meta: meta} }
 // Piecewise-linear between sample sizes; linear extrapolation beyond
 // the ends using the nearest segment's slope.
 func (db *DB) Unit(resource, op string, size int64) (float64, error) {
-	samples := db.meta.Samples(nil, resource, op)
+	t, ok := db.Lookup(resource, op, size)
+	if !ok {
+		return 0, fmt.Errorf("predict: no samples for %s/%s — run PTool first", resource, op)
+	}
+	return t, nil
+}
+
+// Lookup is Unit for a caller that evaluates it per request (the qos
+// pricer): ok is false where Unit would fail, and neither outcome
+// allocates or takes a lock — the curve is metadb's compiled one.
+func (db *DB) Lookup(resource, op string, size int64) (sec float64, ok bool) {
+	samples := db.meta.Curve(resource, op)
 	switch len(samples) {
 	case 0:
-		return 0, fmt.Errorf("predict: no samples for %s/%s — run PTool first", resource, op)
+		return 0, false
 	case 1:
 		// Scale by size assuming pure bandwidth behaviour.
 		if samples[0].Size <= 0 {
-			return samples[0].Seconds, nil
+			return samples[0].Seconds, true
 		}
-		return samples[0].Seconds * float64(size) / float64(samples[0].Size), nil
+		return samples[0].Seconds * float64(size) / float64(samples[0].Size), true
 	}
 	// Find the bracketing segment (clamping to the first/last segment
 	// for extrapolation).
@@ -58,7 +69,7 @@ func (db *DB) Unit(resource, op string, size int64) (float64, error) {
 	}
 	a, b := samples[i], samples[i+1]
 	if b.Size == a.Size {
-		return a.Seconds, nil
+		return a.Seconds, true
 	}
 	frac := float64(size-a.Size) / float64(b.Size-a.Size)
 	t := a.Seconds + frac*(b.Seconds-a.Seconds)
@@ -76,7 +87,7 @@ func (db *DB) Unit(resource, op string, size int64) (float64, error) {
 	if t < 0 {
 		t = 0
 	}
-	return t, nil
+	return t, true
 }
 
 // WholeFile returns the predicted seconds for transferring an entire

@@ -18,7 +18,7 @@ import (
 
 // measuredDB builds a performance database by running PTool against all
 // three resources.
-func measuredDB(t *testing.T) *metadb.DB {
+func measuredDB(t testing.TB) *metadb.DB {
 	t.Helper()
 	meta := metadb.New()
 	sim := vtime.NewVirtual()
@@ -396,5 +396,50 @@ func TestPredictConnPerResourceOp(t *testing.T) {
 	}
 	if want := 14.0; math.Abs(got.Total.Seconds()-want) > 1e-6 {
 		t.Fatalf("two-reader run total = %v s, want %v (conn charged once)", got.Total.Seconds(), want)
+	}
+}
+
+// TestUnitZeroAlloc holds the per-request cost of eq. (2) where tier-1
+// sees it: over a swept database a hit allocates nothing, and neither
+// does the miss the qos pricer takes through Lookup for a class PTool
+// never measured.  Unit's own miss still says what it always said.
+func TestUnitZeroAlloc(t *testing.T) {
+	db := NewDB(measuredDB(t))
+	var sink float64
+	if avg := testing.AllocsPerRun(200, func() {
+		for _, size := range []int64{4 << 10, 4 << 20} {
+			sec, err := db.Unit("remotedisk", "write", size)
+			if err != nil || sec <= 0 {
+				panic("swept class not priced")
+			}
+			sink += sec
+		}
+		if _, ok := db.Lookup("localdb", "write", 4<<10); ok {
+			panic("unswept class priced")
+		}
+	}); avg != 0 {
+		t.Fatalf("Unit/Lookup: %v allocs per run, want 0", avg)
+	}
+	_, err := db.Unit("localdb", "write", 4<<10)
+	if want := "predict: no samples for localdb/write — run PTool first"; err == nil || err.Error() != want {
+		t.Fatalf("Unit miss = %v, want %q", err, want)
+	}
+}
+
+var unitSink float64
+
+// BenchmarkUnit: one eq. (2) curve evaluation at the size wire-small
+// prices.
+func BenchmarkUnit(b *testing.B) {
+	db := NewDB(measuredDB(b))
+	db.Unit("remotedisk", "write", 4<<10) // compile the curves outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sec, err := db.Unit("remotedisk", "write", 4<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		unitSink += sec
 	}
 }

@@ -27,8 +27,8 @@ func PredictPricer(db *predict.DB) Pricer {
 		if db == nil || bytes <= 0 {
 			return DefaultPricer(class, op, bytes)
 		}
-		sec, err := db.Unit(class, op, bytes)
-		if err != nil || sec <= 0 {
+		sec, ok := db.Lookup(class, op, bytes)
+		if !ok || sec <= 0 {
 			return DefaultPricer(class, op, bytes)
 		}
 		return sec

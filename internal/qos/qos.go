@@ -142,15 +142,26 @@ func (e *OverloadError) Unwrap() error { return storage.ErrOverload }
 // resilient.RetryAfterOf.
 func (e *OverloadError) RetryAfter() time.Duration { return e.After }
 
-// waiter is one queued request.
+// waiter is one queued request.  Waiters are recycled through
+// Scheduler.free: a waiter is allocated with its grant channel once and
+// returns to the list only when its request is over — at release, or
+// in Do once a failed grant has been received — never while a tenant
+// queue or s.batch still points at it.
 type waiter struct {
 	req    Request
 	cost   float64 // priced seconds
 	tenant *tenantQ
-	grant  chan struct{} // closed when the request may run
-	err    error         // set before grant closes when the scheduler shut down
-	enq    time.Time     // wall arrival, for wait accounting
+	// grant carries the one token of this request: nil when it may run,
+	// errClosed when the scheduler shut down first.  1-buffered so the
+	// granter never blocks; sent once per enqueue and received by Do
+	// before the waiter is recycled, so it is empty on reuse.
+	grant chan error
+	enq   time.Time // wall arrival, for wait accounting
+	next  *waiter   // free-list link
 }
+
+// errClosed fails requests that meet a closed scheduler.
+var errClosed = fmt.Errorf("qos: scheduler %w", storage.ErrClosed)
 
 // tenantQ is one tenant's DRR state.
 type tenantQ struct {
@@ -173,9 +184,10 @@ type Scheduler struct {
 	closed   bool
 	paused   bool
 	tenants  map[string]*tenantQ
-	ring     []string // tenant names in creation order (DRR rotation)
+	ring     []*tenantQ // tenants in creation order (DRR rotation)
 	cursor   int
 	inflight int
+	free     *waiter // recycled waiters
 
 	queuedBytes int64
 	queuedCount int
@@ -224,9 +236,11 @@ func (s *Scheduler) Do(p *vtime.Proc, req Request, fn func() error) error {
 		}
 		return err
 	}
-	<-w.grant
-	if w.err != nil {
-		return w.err
+	if err := <-w.grant; err != nil {
+		s.mu.Lock()
+		s.recycleLocked(w)
+		s.mu.Unlock()
+		return err
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Record(trace.Event{
@@ -258,8 +272,24 @@ func (s *Scheduler) tenantLocked(name string) *tenantQ {
 	t.stats.Tenant = name
 	t.stats.Weight = w
 	s.tenants[name] = t
-	s.ring = append(s.ring, name)
+	s.ring = append(s.ring, t)
 	return t
+}
+
+// waiterLocked takes a waiter off the free list, or makes one.
+func (s *Scheduler) waiterLocked() *waiter {
+	w := s.free
+	if w == nil {
+		return &waiter{grant: make(chan error, 1)}
+	}
+	s.free, w.next = w.next, nil
+	return w
+}
+
+// recycleLocked returns a finished request's waiter to the free list.
+func (s *Scheduler) recycleLocked(w *waiter) {
+	w.req, w.tenant = Request{}, nil
+	w.next, s.free = s.free, w
 }
 
 func (s *Scheduler) enqueue(req Request) (*waiter, error) {
@@ -270,7 +300,7 @@ func (s *Scheduler) enqueue(req Request) (*waiter, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, fmt.Errorf("qos: scheduler %w", storage.ErrClosed)
+		return nil, errClosed
 	}
 	t := s.tenantLocked(req.Tenant)
 	// Admission control.  An empty scope always admits one request so
@@ -283,7 +313,8 @@ func (s *Scheduler) enqueue(req Request) (*waiter, error) {
 		t.queuedBytes+req.Bytes > s.cfg.TenantQueuedBytes {
 		return nil, s.overloadLocked(t, t.queuedBytes)
 	}
-	w := &waiter{req: req, cost: cost, tenant: t, grant: make(chan struct{}), enq: time.Now()}
+	w := s.waiterLocked()
+	w.req, w.cost, w.tenant, w.enq = req, cost, t, time.Now()
 	t.q = append(t.q, w)
 	s.queuedBytes += req.Bytes
 	s.queuedCount++
@@ -335,7 +366,7 @@ func (s *Scheduler) grantLocked() {
 		t.stats.GrantedBytes += w.req.Bytes
 		t.stats.GrantedCost += w.cost
 		t.stats.Wait += time.Since(w.enq)
-		close(w.grant)
+		w.grant <- nil
 	}
 }
 
@@ -363,8 +394,8 @@ func (s *Scheduler) nextLocked() *waiter {
 // jump equivalent to running that many empty rounds.
 func (s *Scheduler) drrLocked() *waiter {
 	backlogged := 0
-	for _, name := range s.ring {
-		if len(s.tenants[name].q) > 0 {
+	for _, t := range s.ring {
+		if len(t.q) > 0 {
 			backlogged++
 		}
 	}
@@ -373,17 +404,21 @@ func (s *Scheduler) drrLocked() *waiter {
 	}
 	for {
 		for i := 0; i < len(s.ring); i++ {
-			t := s.tenants[s.ring[s.cursor]]
+			t := s.ring[s.cursor]
 			if len(t.q) == 0 || t.deficit+1e-9 < t.q[0].cost {
 				s.cursor = (s.cursor + 1) % len(s.ring)
 				continue
 			}
 			w := t.q[0]
-			t.q = t.q[1:]
 			t.deficit -= w.cost
-			if len(t.q) == 0 {
-				// An idle flow must not bank deficit: weights shape
+			if len(t.q) > 1 {
+				t.q = t.q[1:]
+			} else {
+				// Drained: truncate rather than slice past the head, so
+				// the queue keeps its capacity for the next request.  An
+				// idle flow must not bank deficit: weights shape
 				// *backlogged* service shares only.
+				t.q = t.q[:0]
 				t.deficit = 0
 			}
 			if b := s.maybeBatchLocked(w); b != nil {
@@ -393,8 +428,7 @@ func (s *Scheduler) drrLocked() *waiter {
 		}
 		// Full rotation, nobody eligible: top up.
 		rounds := 0.0
-		for _, name := range s.ring {
-			t := s.tenants[name]
+		for _, t := range s.ring {
 			if len(t.q) == 0 {
 				continue
 			}
@@ -406,8 +440,7 @@ func (s *Scheduler) drrLocked() *waiter {
 				rounds = k
 			}
 		}
-		for _, name := range s.ring {
-			t := s.tenants[name]
+		for _, t := range s.ring {
 			if len(t.q) > 0 {
 				t.deficit += rounds * quantum * float64(t.weight)
 			}
@@ -438,8 +471,8 @@ func tapeWrite(w *waiter) bool {
 // ever granted (written) twice.
 func (s *Scheduler) maybeWriteBatchLocked(w *waiter) *waiter {
 	cands := []*waiter{w}
-	for _, name := range s.ring {
-		for _, x := range s.tenants[name].q {
+	for _, t := range s.ring {
+		for _, x := range t.q {
 			if tapeWrite(x) && len(cands) < maxBatch {
 				cands = append(cands, x)
 			}
@@ -457,8 +490,7 @@ func (s *Scheduler) maybeWriteBatchLocked(w *waiter) *waiter {
 		taken[m] = true
 		bytes += m.req.Bytes
 	}
-	for _, name := range s.ring {
-		t := s.tenants[name]
+	for _, t := range s.ring {
 		kept := t.q[:0]
 		for _, x := range t.q {
 			if taken[x] {
@@ -502,8 +534,8 @@ func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
 		return nil
 	}
 	cands := []*waiter{w}
-	for _, name := range s.ring {
-		for _, x := range s.tenants[name].q {
+	for _, t := range s.ring {
+		for _, x := range t.q {
 			if tapeRead(x) {
 				cands = append(cands, x)
 			}
@@ -543,8 +575,7 @@ func (s *Scheduler) maybeBatchLocked(w *waiter) *waiter {
 		taken[m.w] = true
 		bytes += m.w.req.Bytes
 	}
-	for _, name := range s.ring {
-		t := s.tenants[name]
+	for _, t := range s.ring {
 		kept := t.q[:0]
 		for _, x := range t.q {
 			if taken[x] {
@@ -599,6 +630,7 @@ func (s *Scheduler) release(w *waiter, service time.Duration) {
 	s.inflight--
 	w.tenant.stats.Done++
 	w.tenant.stats.Service += service
+	s.recycleLocked(w)
 	if !s.paused && !s.closed {
 		s.grantLocked()
 	}
@@ -651,17 +683,13 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	fail := func(w *waiter) {
-		w.err = fmt.Errorf("qos: scheduler %w", storage.ErrClosed)
-		close(w.grant)
-	}
 	for _, w := range s.batch {
-		fail(w)
+		w.grant <- errClosed
 	}
 	s.batch = nil
-	for _, t := range s.tenants {
+	for _, t := range s.ring {
 		for _, w := range t.q {
-			fail(w)
+			w.grant <- errClosed
 		}
 		t.q = nil
 		t.queuedBytes = 0
@@ -713,8 +741,7 @@ func (s *Scheduler) Stats() Stats {
 	out.Queued = s.queuedCount
 	out.QueuedBytes = s.queuedBytes
 	out.Tenants = make([]TenantStats, 0, len(s.tenants))
-	for _, name := range s.ring {
-		t := s.tenants[name]
+	for _, t := range s.ring {
 		ts := t.stats
 		ts.Depth = t.queuedCount
 		ts.QueuedBytes = t.queuedBytes

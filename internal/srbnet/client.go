@@ -360,6 +360,7 @@ func (m *mux) failErr() error {
 // own iovec so large payloads are never copied into the frame buffer.
 func (m *mux) writeLoop() {
 	var iov [][]byte
+	bufs := new(net.Buffers) // the loop's one writev cursor, re-pointed at iov per batch
 	var metas []*frameBuf
 	var sent []*request
 	for {
@@ -392,7 +393,7 @@ func (m *mux) writeLoop() {
 				req = nil
 			}
 		}
-		bufs := net.Buffers(iov)
+		*bufs = iov
 		_, err := bufs.WriteTo(m.conn)
 		for _, f := range metas {
 			putFrame(f)

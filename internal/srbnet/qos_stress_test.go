@@ -257,3 +257,107 @@ func TestOverloadRoundTripsWire(t *testing.T) {
 		t.Errorf("overloads %d, want 1", sched.Stats().Overloads)
 	}
 }
+
+// TestScheduledRoundTripAllocCeiling holds wire-small's count where
+// tier-1 sees it: a 4 KiB WriteAt or ReadAt over loopback — client
+// codec and mux, server demux, a parked handler, the scheduler, the
+// broker and back — costs at most 2 allocations on both sides together
+// (it was 24, and the steady state now measures 0: the slack is for a
+// GC emptying the sync.Pools mid-run and a handler spawned because none
+// was parked yet).
+func TestScheduledRoundTripAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sim := vtime.NewVirtual()
+	srv, _ := newScheduledServer(t, sim, qos.Config{Tenants: map[string]int{"astro3d": 3}}, "astro3d")
+	c := NewClient(srv.Addr(), "astro3d", "pw", "sdsc-disk", storage.KindRemoteDisk)
+	defer c.Close()
+	p := sim.NewProc("client")
+	sess, err := c.Connect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sess.Open(p, "small/f", storage.ModeWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := bytes.Repeat([]byte{0x5A}, 4<<10)
+	i := 0
+	op := func() {
+		var err error
+		if i++; i%2 == 1 {
+			_, err = h.WriteAt(p, buf, 0)
+		} else {
+			_, err = h.ReadAt(p, buf, 0)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	for j := 0; j < 64; j++ {
+		op() // warm the pools, the waiter free list and the file
+	}
+	avg := testing.AllocsPerRun(2000, op)
+	t.Logf("scheduled 4 KiB round trip: %v allocs/op", avg)
+	if avg > 2 {
+		t.Fatalf("scheduled 4 KiB round trip: %v allocs/op, want <= 2", avg)
+	}
+	if err := h.Close(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Close(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBlockedRequestDoesNotDelayNextFrame: handler goroutines are
+// reused across a connection's requests, but a request still never
+// waits for one.  The connection's only handler is parked after the
+// warm-up; the next request takes it and blocks in the paused
+// scheduler, so the frame after that must get a handler of its own.
+func TestBlockedRequestDoesNotDelayNextFrame(t *testing.T) {
+	sim := vtime.NewVirtual()
+	srv, sched := newScheduledServer(t, sim, qos.Config{}, "alice")
+	c := NewClient(srv.Addr(), "alice", "pw", "sdsc-disk", storage.KindRemoteDisk)
+	defer c.Close()
+	p := sim.NewProc("alice")
+	sess, err := c.Connect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sess.Open(p, "alice/f", storage.ModeCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(p, make([]byte, 32), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	sched.Pause()
+	read := make(chan error, 1)
+	go func() {
+		_, err := h.ReadAt(sim.NewProc("alice/blocked"), make([]byte, 32), 0)
+		read <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for sched.QueueDepth() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the read never queued")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	// Stat is not a scheduled opcode: only a free handler can answer it.
+	if fi, err := sess.Stat(p, "alice/f"); err != nil || fi.Size != 32 {
+		t.Fatalf("Stat behind a blocked read on the same connection = %+v, %v", fi, err)
+	}
+	select {
+	case err := <-read:
+		t.Fatalf("the read ran while the scheduler was paused: %v", err)
+	default:
+	}
+	sched.Resume()
+	if err := <-read; err != nil {
+		t.Fatalf("blocked read after Resume: %v", err)
+	}
+}

@@ -238,7 +238,8 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // serve runs one connection past its preamble until the peer hangs up
 // or the stream fails.  The decode loop reads pooled frames and
-// dispatches each request to its own handler goroutine; opChunk
+// hands each request to a handler goroutine — a parked one if there
+// is one, a new one otherwise, so no request waits for another; opChunk
 // continuation frames are routed to their stream's channel instead
 // (owned by the streamed-put handler).  Any frame error — a truncated
 // read, a length over the cap, a corrupt body, a chunk for an unknown
@@ -255,6 +256,19 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader) {
 
 	wc := &connWriter{respq: respq}
 	var hwg sync.WaitGroup
+	// Handlers park on work between requests.  A request goes to a
+	// parked handler if there is one and to a new goroutine otherwise,
+	// so requests on one connection run as concurrently as they did with
+	// a goroutine each (a tape-blocked one never delays the next frame)
+	// and the steady state spawns — and allocates — nothing.
+	work := make(chan *request)
+	handler := func(req *request) {
+		defer hwg.Done()
+		for ok := true; ok; req, ok = <-work {
+			respq <- s.handle(req, wc)
+			req.release()
+		}
+	}
 	streams := make(map[uint64]chan *request)
 	for {
 		f, err := readFrame(br, DefaultMaxFrame)
@@ -302,14 +316,15 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader) {
 			req.stream = st
 			streams[req.Tag] = st
 		}
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			respq <- s.handle(req, wc)
-			req.release()
-		}()
+		select {
+		case work <- req:
+		default:
+			hwg.Add(1)
+			go handler(req)
+		}
 	}
 	conn.Close()
+	close(work)
 	// Unblock any streaming handler still waiting on chunk frames: a
 	// closed stream reads as errStreamSevered.
 	for _, st := range streams {
@@ -327,6 +342,7 @@ func (s *Server) serve(conn net.Conn, br *bufio.Reader) {
 // structs all return to their pools once the writev lands.
 func (s *Server) writeLoop(conn net.Conn, respq chan *response) {
 	var iov [][]byte
+	bufs := new(net.Buffers) // the loop's one writev cursor, re-pointed at iov per batch
 	var metas []*frameBuf
 	var done []*response
 	broken := false
@@ -356,7 +372,7 @@ func (s *Server) writeLoop(conn net.Conn, respq chan *response) {
 				resp = nil
 			}
 		}
-		bufs := net.Buffers(iov)
+		*bufs = iov
 		_, err := bufs.WriteTo(conn)
 		for _, f := range metas {
 			putFrame(f)

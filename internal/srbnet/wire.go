@@ -382,17 +382,23 @@ func decodeResponse(body []byte, resp *response) error {
 }
 
 // readFrame reads one length-prefixed frame body into a pooled buffer.
-// The declared length is checked against max BEFORE any allocation, so
-// a malicious prefix cannot OOM the reader.
+// The prefix is peeked in br's own buffer (no header escapes to the
+// heap) and the declared length is checked against max BEFORE a body
+// byte is read or a buffer grown, so a malicious prefix cannot OOM the
+// reader.
 func readFrame(br *bufio.Reader, max int) (*frameBuf, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // a torn header is corruption, not a clean close
+		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > max {
 		return nil, fmt.Errorf("%w: declared %d > cap %d", errFrameTooBig, n, max)
 	}
+	br.Discard(4)
 	f := getFrame()
 	if _, err := io.ReadFull(br, f.grow(n)); err != nil {
 		putFrame(f)

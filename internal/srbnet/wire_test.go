@@ -188,13 +188,50 @@ func TestReadFrameCapsDeclaredLength(t *testing.T) {
 	}
 }
 
-// TestHotFrameCodecZeroAlloc pins the tentpole claim: the steady-state
-// opWrite request + opRead response encode/decode cycle allocates
-// nothing once the pools are warm.
-func TestHotFrameCodecZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
+// countingReader counts the bytes its consumer has been handed.
+type countingReader struct {
+	r         io.Reader
+	delivered int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.delivered += n
+	return n, err
+}
+
+// TestReadFrameHeaderEdges: the length prefix is peeked in the reader's
+// buffer, and the edges keep their meaning — nothing at all is a clean
+// close, a torn header is corruption, and a length over the cap fails
+// on the four header bytes alone.
+func TestReadFrameHeaderEdges(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, 100)
+	for n, want := range []error{io.EOF, io.ErrUnexpectedEOF, io.ErrUnexpectedEOF, io.ErrUnexpectedEOF} {
+		f, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:n])), 1<<20)
+		if f != nil || err != want {
+			t.Errorf("%d header bytes then EOF: frame %v, err %v; want %v", n, f, err, want)
+		}
 	}
+
+	// The header arrives in a read of its own (MultiReader never joins
+	// two sources in one Read), so any further read readFrame caused
+	// would deliver body bytes.
+	src := &countingReader{r: io.MultiReader(
+		bytes.NewReader(binary.LittleEndian.AppendUint32(nil, 1<<30)),
+		bytes.NewReader(bytes.Repeat([]byte{0xEE}, 1<<16)),
+	)}
+	if _, err := readFrame(bufio.NewReader(src), 1<<20); !errors.Is(err, errFrameTooBig) {
+		t.Fatalf("length over the cap: %v, want errFrameTooBig", err)
+	}
+	if src.delivered != 4 {
+		t.Errorf("reader delivered %d bytes before the cap verdict, want the 4 header bytes and none of the body", src.delivered)
+	}
+}
+
+// hotCodecCycle returns one steady-state wire cycle — an opWrite
+// request and an opRead response, each encoded into a pooled frame and
+// decoded back — for the zero-alloc test and the codec benchmark.
+func hotCodecCycle() func() {
 	data := bytes.Repeat([]byte{0xAB}, 4096)
 	wreq := getRequest()
 	wreq.Op, wreq.Tag, wreq.Sess, wreq.PID = opWrite, 7, 1, 2
@@ -204,7 +241,7 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 	rresp.Data = data
 
 	wire := make([]byte, 0, 16<<10)
-	hot := func() {
+	return func() {
 		f := getFrame()
 		payload := encodeRequest(f, wreq)
 		wire = append(wire[:0], f.b[4:]...)
@@ -227,9 +264,32 @@ func TestHotFrameCodecZeroAlloc(t *testing.T) {
 		putResponse(ro)
 		putFrame(f)
 	}
+}
+
+// TestHotFrameCodecZeroAlloc pins the tentpole claim: the steady-state
+// opWrite request + opRead response encode/decode cycle allocates
+// nothing once the pools are warm.
+func TestHotFrameCodecZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	hot := hotCodecCycle()
 	hot() // warm the pools
 	if avg := testing.AllocsPerRun(200, hot); avg != 0 {
 		t.Fatalf("hot opWrite/opRead frame codec: %v allocs/op, want 0", avg)
+	}
+}
+
+// BenchmarkCodecRoundTrip: the v3 codec alone, one 4 KiB opWrite
+// request and one 4 KiB opRead response encoded and decoded per op.
+func BenchmarkCodecRoundTrip(b *testing.B) {
+	hot := hotCodecCycle()
+	hot()
+	b.ReportAllocs()
+	b.SetBytes(2 * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hot()
 	}
 }
 
